@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import poly
 from .color import (
     Coloration,
+    EmptyClass,
     NotADTree,
     dtree_coloration,
     g_prime_graph,
@@ -506,7 +507,7 @@ def _cmd_reduce(model: Model) -> tuple[bool, dict]:
     try:
         vectors = reduction_vectors(col, ring)
         rep = reduction_number(vectors, b, rho_max)
-    except (NotSOP, WrongCount, ValueError) as exc:
+    except (NotSOP, WrongCount, EmptyClass) as exc:
         sections["reduction"] = {
             "theorem_applies": False,
             "failure": f"{failure}; then {type(exc).__name__}: {exc}",

@@ -26,6 +26,10 @@ class NotADTree(ValueError):
     """The construction needs a generalized d-tree skeleton."""
 
 
+class EmptyClass(ValueError):
+    """A coloration class has no vertex, so it gives no linear form."""
+
+
 class ValidationFailed(RuntimeError):
     """A constructed coloration failed re-validation; never silently fixed."""
 
@@ -372,6 +376,6 @@ def reduction_vectors(col: Coloration, ring: Ring) -> ReductionVectors:
     forms = []
     for i, cls in enumerate(col.classes):
         if not cls:
-            raise ValueError(f"class {i} is empty")
+            raise EmptyClass(f"class {i} is empty")
         forms.append(ring.linear(sorted(cls)))
     return ReductionVectors(tuple(forms))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -21,14 +22,34 @@ class OrderMismatch(ValueError):
 # coefficient fields
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson & Webster 2015); larger characteristics are
+# rejected rather than guessed.
+PRIME_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < PRIME_LIMIT."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -37,6 +58,10 @@ class PrimeField:
     p: int = 32003
 
     def __post_init__(self) -> None:
+        if self.p >= PRIME_LIMIT:
+            raise ValueError(
+                f"field characteristic must be a prime below {PRIME_LIMIT}, got {self.p}"
+            )
         if not _is_prime(self.p):
             raise ValueError(f"field characteristic must be prime, got {self.p}")
 
@@ -144,6 +169,14 @@ def mono_deg(a: tuple) -> int:
     return sum(a)
 
 
+# key function per base order kind; bigger key = bigger monomial
+_ORDER_KEYS = {
+    "lex": lambda m: m,
+    "deglex": lambda m: (sum(m), m),
+    "degrevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
+}
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total order on exponent tuples; bigger key = bigger monomial.
@@ -159,16 +192,12 @@ class MonomialOrder:
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "deglex", "degrevlex", "elim"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-        assert self.inner in ("lex", "deglex", "degrevlex")
+        assert self.inner in _ORDER_KEYS
 
     def key(self, m: tuple):
-        if self.kind == "lex":
-            return m
-        if self.kind == "deglex":
-            return (sum(m), m)
-        if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        return (m[0], MonomialOrder(self.inner).key(m[1:]))
+        if self.kind == "elim":
+            return (m[0], _ORDER_KEYS[self.inner](m[1:]))
+        return _ORDER_KEYS[self.kind](m)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +447,10 @@ def _interreduce(polys: list[Polynomial]) -> list[Polynomial]:
 def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[Polynomial]:
     """Unique reduced monic Groebner basis, independent of generator order.
 
-    Normal selection (pairs by lcm degree, then lcm, then indices); applies
-    the coprimality criterion and the chain criterion over treated pairs.
+    Normal selection: pending pairs sit in a heap keyed, once when the pair
+    is created, by (lcm degree, lcm order key, indices), so pairs leave it
+    smallest lcm first with ties broken by index. Applies the coprimality
+    criterion and the chain criterion over treated pairs.
     """
     gens = [g for g in generators if not g.is_zero()]
     if ring is None:
@@ -439,43 +470,36 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     if not basis:
         return []
 
-    def lcm_of(i: int, j: int) -> tuple:
-        return mono_lcm(basis[i].lm(), basis[j].lm())
+    def pair(i: int, j: int) -> tuple:
+        # (i, j) is unique, so the lcm in the last slot is never compared
+        l = mono_lcm(basis[i].lm(), basis[j].lm())
+        return (mono_deg(l), ring.order.key(l), (i, j), l)
 
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    queue = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(queue)
+    # a pair leaves the queue exactly once, so a treated pair is never pending
     treated: set[tuple[int, int]] = set()
-    while pending:
-        i, j = min(
-            pending,
-            key=lambda ij: (
-                mono_deg(lcm_of(*ij)),
-                ring.order.key(lcm_of(*ij)),
-                ij,
-            ),
-        )
-        pending.discard((i, j))
+    while queue:
+        _, _, (i, j), l = heappop(queue)
         treated.add((i, j))
         _bump("s_pairs")
-        l = lcm_of(i, j)
         if l == mono_mul(basis[i].lm(), basis[j].lm()):
             continue  # coprime leading terms
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(basis[k].lm(), l):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in treated and b in treated and a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
+        if any(
+            k not in (i, j)
+            and mono_divides(basis[k].lm(), l)
+            and (min(i, k), max(i, k)) in treated
+            and (min(j, k), max(j, k)) in treated
+            for k in range(len(basis))
+        ):
+            continue  # chain criterion
         r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         basis.append(r.monic())
         n = len(basis) - 1
-        pending.update((k, n) for k in range(n))
+        for k in range(n):
+            heappush(queue, pair(k, n))
     return _interreduce(basis)
 
 

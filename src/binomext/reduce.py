@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .color import (
     Coloration,
+    NotADTree,
     ReductionVectors,
     dtree_coloration,
     g_prime_graph,
@@ -16,7 +17,6 @@ from .color import (
     reduction_vectors,
     search_binomial_coloration,
 )
-from .complexes import is_generalized_d_tree, skeleton_graph
 from .extension import (
     ExtensionComplex,
     IdealPresentation,
@@ -381,11 +381,12 @@ def verify_main_theorem(
     """Full pipeline: coloration, reduction vectors, goodness on G', per-facet
     hypotheses, SOP, and the reduction number (expected 1 when hypotheses hold)."""
     base = ext.base
-    use_dtree = is_generalized_d_tree(skeleton_graph(base), base.dim).verdict
-    if use_dtree:
-        col = dtree_coloration(ext)
-    else:
-        col = search_binomial_coloration(ext)
+    # a skeleton can pass the d-tree criterion while its facets admit no
+    # leaf order (a ring of three triangles), so fall back to the search
+    try:
+        col, use_dtree = dtree_coloration(ext), True
+    except NotADTree:
+        col, use_dtree = search_binomial_coloration(ext), False
         if col is None:
             raise NoColorationFound("no binomial coloration exists")
     vectors = reduction_vectors(col, ring)

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
-from binomext import DuplicatePointName
+from binomext import DuplicatePointName, OrderMismatch, cli
 from binomext.cli import (
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_VERDICT_FALSE,
     InputDocument,
@@ -105,6 +106,7 @@ BAD_DOCUMENTS = [
     ("duplicate declared vertices", {"facets": [["a", "b"]], "vertices": ["a", "a", "b"]}),
     ("composite field", {"facets": [["a", "b"]], "field": 32001}),
     ("even field", {"facets": [["a", "b"]], "field": 4}),
+    ("field beyond the primality range", {"facets": [["a", "b"]], "field": 2**89 - 1}),
     ("boolean field", {"facets": [["a", "b"]], "field": True}),
     ("unknown field name", {"facets": [["a", "b"]], "field": "gf2"}),
     ("unknown order", {"facets": [["a", "b"]], "order": "grevlex"}),
@@ -312,6 +314,17 @@ def test_reduce_report_falls_back_on_the_four_cycle_complex() -> None:
     assert section["reduction_number"] == 2
     assert report["coloration"]["binomial_ok"] is True
     assert report["coloration"]["good_on_g_prime"] is False
+
+
+def test_reduce_fallback_does_not_turn_engine_faults_into_verdicts(monkeypatch) -> None:
+    def fault(*args, **kwargs):
+        raise OrderMismatch("polynomials from different rings")
+
+    monkeypatch.setattr(cli, "reduction_number", fault)
+    path = str(FIXTURES / "cycles_full.json")
+    with pytest.raises(OrderMismatch):
+        run("reduce", parse_input(path))
+    assert main(["reduce", "--input", path]) == EXIT_INTERNAL_ERROR
 
 
 def test_reduce_report_on_the_tetrahedron() -> None:

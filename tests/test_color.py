@@ -9,6 +9,7 @@ import pytest
 
 from binomext import (
     Coloration,
+    EmptyClass,
     NotADTree,
     PrimeField,
     RationalField,
@@ -312,7 +313,7 @@ def test_reduction_vectors_on_rationals(cycles_pair) -> None:
 
 def test_reduction_vectors_reject_an_empty_class(greduit) -> None:
     col = Coloration.from_map(3, {0: 0, 1: 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyClass):
         reduction_vectors(col, greduit.ring)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomext.poly import (
+    PRIME_LIMIT,
     MonomialOrder,
     OrderMismatch,
     PrimeField,
     RationalField,
     Ring,
+    _is_prime,
     buchberger,
     covered_columns,
     field_by_name,
@@ -62,6 +65,45 @@ def test_prime_field_arithmetic() -> None:
 def test_prime_field_rejects_composites() -> None:
     with pytest.raises(ValueError):
         PrimeField(32001)
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_matches_trial_division() -> None:
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if _trial_division_is_prime(n)
+    ]
+
+
+def test_large_primes_are_accepted_quickly() -> None:
+    started = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert PrimeField(4294967311).p == 4294967311
+    assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael number
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the primes up to 23
+        318665857834031151167461,  # strong pseudoprime to the primes up to 37
+    ],
+)
+def test_pseudoprimes_are_rejected(n: int) -> None:
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="must be prime"):
+        PrimeField(n)
+
+
+def test_characteristics_beyond_the_exact_range_are_rejected() -> None:
+    # PRIME_LIMIT itself is composite yet passes all 13 witnesses
+    for n in (PRIME_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"below {PRIME_LIMIT}"):
+            PrimeField(n)
 
 
 @given(st.integers(min_value=1, max_value=32002))

@@ -11,6 +11,7 @@ from binomext import (
     BothXVariables,
     Coloration,
     NoColorationFound,
+    NotADTree,
     NotInMatrix,
     NotSOP,
     PrimeField,
@@ -36,6 +37,7 @@ from binomext import (
     verify_main_theorem,
     verify_sop,
 )
+from binomext.cli import build_model, parse_document, run
 from conftest import random_scroll_extension
 
 
@@ -296,6 +298,42 @@ def test_verifier_on_the_glued_pair(cycles_pair) -> None:
         "private-origin",
         "private-origin",
     ]
+
+
+def ring_document(n: int) -> dict:
+    """n triangles (c_i, c_i+1, t_i) around a cycle, each extended from t_i
+    by one point on each of its two proper edges."""
+    return {
+        "facets": [[f"c{i}", f"c{(i + 1) % n}", f"t{i}"] for i in range(n)],
+        "extensions": [
+            {
+                "facet": i,
+                "origin": f"t{i}",
+                "edges": [
+                    {"target": f"c{i}", "points": [f"a{i}"]},
+                    {"target": f"c{(i + 1) % n}", "points": [f"b{i}"]},
+                ],
+            }
+            for i in range(n)
+        ],
+    }
+
+
+def test_verifier_falls_back_when_a_dtree_skeleton_has_no_leaf_order() -> None:
+    # the skeleton of three triangles around a triangle is a 2-tree, but the
+    # inner triangle c0c1c2 is not a facet, so the construction has no order
+    doc = parse_document(ring_document(3))
+    model = build_model(doc)
+    with pytest.raises(NotADTree):
+        dtree_coloration(model.ext)
+    report = verify_main_theorem(model.ext, model.ring)
+    assert not report.used_dtree
+    assert report.reduction.reduction_number == 1
+    assert not report.reduction.bound_exceeded
+    reduce_report = run("reduce", doc)
+    assert reduce_report["verdict"] is True
+    assert reduce_report["coloration"]["method"] == "search"
+    assert run("oracle", doc)["oracle"]["diffs"] == []
 
 
 def test_verifier_rejects_the_four_cycle_complex(cycles_full) -> None:
