@@ -49,8 +49,8 @@ from .extension import (
 )
 from .poly import (
     Ring,
-    buchberger,
     field_by_name,
+    groebner_basis,
     groebner_equal,
     hilbert_data,
     ideal_intersection_many,
@@ -408,7 +408,7 @@ def _cmd_decompose(model: Model) -> tuple[bool, dict]:
     ext, ring = model.ext, model.ring
     b = binomial_extension_ideal(ext, ring)
     comps = component_ideals(ext, ring)
-    gb_b = buchberger(list(b.generators), ring)
+    gb_b = groebner_basis(list(b.generators), ring)
     inter = ideal_intersection_many([list(c.generators) for c in comps], ring)
     equal = groebner_equal(gb_b, inter)
     section = [
@@ -432,13 +432,13 @@ def _cmd_decompose(model: Model) -> tuple[bool, dict]:
 def _cmd_hilbert(model: Model) -> tuple[bool, dict]:
     ext, ring = model.ext, model.ring
     b = binomial_extension_ideal(ext, ring)
-    gb_b = buchberger(list(b.generators), ring)
+    gb_b = groebner_basis(list(b.generators), ring)
     hd = hilbert_data(gb_b, ring)
     expected = 1 + ext.base.dim
     comps = []
     ok = hd.dimension == expected
     for c in component_ideals(ext, ring):
-        gb_c = buchberger(list(c.generators), ring)
+        gb_c = groebner_basis(list(c.generators), ring)
         dim_c = hilbert_data(gb_c, ring).dimension
         l = int(c.label.split("_")[1])
         want = 1 + (len(ext.base.facets[l]) - 1)
@@ -477,7 +477,7 @@ def _cmd_color(model: Model) -> tuple[bool, dict]:
 def _cmd_reduce(model: Model) -> tuple[bool, dict]:
     ext, ring, rho_max = model.ext, model.ring, model.doc.rho_max
     try:
-        rep = verify_main_theorem(ext, ring, rho_max)
+        rep = verify_main_theorem(ext, ring)
         sections = {
             "coloration": _coloration_section(
                 ext, rep.coloration, "dtree" if rep.used_dtree else "search"
@@ -536,9 +536,9 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
         checks.append({"name": name, "ok": ok, "detail": detail})
 
     b = binomial_extension_ideal(ext, ring)
-    gb_b = buchberger(list(b.generators), ring)
+    gb_b = groebner_basis(list(b.generators), ring)
     comps = component_ideals(ext, ring)
-    comp_gbs = [buchberger(list(c.generators), ring) for c in comps]
+    comp_gbs = [groebner_basis(list(c.generators), ring) for c in comps]
 
     inter = ideal_intersection_many([list(c.generators) for c in comps], ring)
     record(
@@ -569,7 +569,7 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
         if ext.is_trivial(l):
             continue
         m = scroll_matrix(ext, l)
-        gb_l = buchberger(facet_minors(ext, ring, l), ring)
+        gb_l = groebner_basis(facet_minors(ext, ring, l), ring)
         entries = sorted({v for blk in m.blocks for v in blk.run})
         for i, u in enumerate(entries):
             for v in entries[i + 1 :]:
@@ -592,7 +592,7 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
         record("containment", True, "skipped: no coloration available")
     else:
         vectors = reduction_vectors(col, ring)
-        gb_bg = buchberger(list(b.generators) + list(vectors.forms), ring)
+        gb_bg = groebner_basis(list(b.generators) + list(vectors.forms), ring)
         rhos = [1]
         try:
             rep = reduction_number(vectors, b, rho_max)
@@ -637,10 +637,12 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
 
 
 def run(command: str, doc: InputDocument, with_oracle: bool = False) -> dict:
-    """Execute a command and assemble its report (deterministic for a given input)."""
+    """Execute a command and assemble its report (deterministic for a given input).
+
+    The run is one `poly.run_scope`: each Groebner basis and graded coverage
+    is computed once, and `timing` counts that work.
+    """
     assert command in COMMANDS, command
-    poly.reset_counters()
-    model = build_model(doc)
     report: dict = {
         "command": command,
         "input": document_dict(doc),
@@ -663,14 +665,16 @@ def run(command: str, doc: InputDocument, with_oracle: bool = False) -> dict:
         "reduce": _cmd_reduce,
         "oracle": _oracle_checks,
     }
-    verdict, sections = handlers[command](model)
-    report.update(sections)
-    if with_oracle and command != "oracle":
-        oracle_ok, oracle_section = _oracle_checks(model)
-        report.update(oracle_section)
-        verdict = verdict and oracle_ok
+    with poly.run_scope():
+        model = build_model(doc)
+        verdict, sections = handlers[command](model)
+        report.update(sections)
+        if with_oracle and command != "oracle":
+            oracle_ok, oracle_section = _oracle_checks(model)
+            report.update(oracle_section)
+            verdict = verdict and oracle_ok
+        report["timing"] = dict(sorted(poly.counters.items()))
     report["verdict"] = verdict
-    report["timing"] = dict(sorted(poly.counters.items()))
     return report
 
 

@@ -7,6 +7,8 @@ including generator order inside computed bases.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -246,12 +248,13 @@ class Ring:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_lt")
+    __slots__ = ("ring", "terms", "_lt", "_hash")
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         self.terms = terms
         self._lt = None
+        self._hash = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -332,7 +335,11 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        # terms are never changed after construction; run-memo keys hash
+        # the same generators once per lookup
+        if self._hash is None:
+            self._hash = hash((self.ring, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<poly {self}>"
@@ -369,6 +376,10 @@ class Polynomial:
 # from them stay byte-identical across runs.
 counters: dict[str, int] = {}
 
+# Answers already computed in the current run scope, keyed by value; None
+# outside a scope, where nothing is cached.
+_memo: ContextVar[dict | None] = ContextVar("binomext_memo", default=None)
+
 
 def reset_counters() -> None:
     counters.clear()
@@ -376,6 +387,32 @@ def reset_counters() -> None:
 
 def _bump(key: str, n: int = 1) -> None:
     counters[key] = counters.get(key, 0) + n
+
+
+@contextmanager
+def run_scope():
+    """One run: the counters restart from zero, and each answer requested
+    through `memoized` inside the scope is computed once."""
+    reset_counters()
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def memoized(key, compute):
+    """compute(), or the value the current run scope already holds for key.
+
+    Keys are values (rings, polynomials, integers), never object identities,
+    so equal inputs built twice share one answer. Values must be immutable.
+    """
+    memo = _memo.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -503,6 +540,13 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     return _interreduce(basis)
 
 
+def groebner_basis(generators: list[Polynomial], ring: Ring) -> list[Polynomial]:
+    """buchberger(generators, ring), computed once per run scope for each
+    ring and generator set; the caller owns the returned list."""
+    key = ("groebner", ring, frozenset(g for g in generators if not g.is_zero()))
+    return list(memoized(key, lambda: tuple(buchberger(generators, ring))))
+
+
 def groebner_equal(a: list[Polynomial], b: list[Polynomial]) -> bool:
     return [p.sort_key() for p in a] == [p.sort_key() for p in b]
 
@@ -531,7 +575,7 @@ def ideal_intersection(
     ext = Ring(("@t",) + ring.names, ring.field, MonomialOrder("elim", ring.order.kind))
     gens = [_to_elim_ring(p, ext, "t") for p in i_gens]
     gens += [_to_elim_ring(p, ext, "1-t") for p in j_gens]
-    gb = buchberger(gens, ext)
+    gb = groebner_basis(gens, ext)
     kept = []
     for p in gb:
         if all(m[0] == 0 for m in p.terms):
@@ -541,7 +585,7 @@ def ideal_intersection(
 
 def ideal_intersection_many(gen_lists: list[list[Polynomial]], ring: Ring) -> list[Polynomial]:
     assert gen_lists, "need at least one ideal"
-    acc = buchberger(gen_lists[0], ring)
+    acc = groebner_basis(gen_lists[0], ring)
     for gens in gen_lists[1:]:
         acc = ideal_intersection(acc, gens, ring)
     return acc
@@ -702,64 +746,23 @@ def monomials_of_degree(nvars: int, degree: int) -> list[tuple]:
 def rref_rows(rows: list[dict[int, object]], ncols: int, field) -> tuple[int, dict[int, dict]]:
     """Reduced row echelon form of sparse rows; returns (rank, pivot -> row).
 
-    Prime fields route through numpy (dense, vectorized mod-p arithmetic);
-    rationals use exact Fraction elimination.
+    Exact sparse elimination over any field object, so no characteristic can
+    overflow. Entries must be elements of the field.
     """
     rows = [r for r in rows if r]
     _bump("rank_rows", len(rows))
-    if isinstance(field, PrimeField):
-        return _rref_gf(rows, ncols, field)
-    return _rref_exact(rows, ncols, field)
-
-
-def _rref_gf(rows, ncols, field) -> tuple[int, dict[int, dict]]:
-    import numpy as np
-
-    p = field.p
-    if not rows:
-        return 0, {}
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            a[i, c] = v % p
-    rank = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        if rank == len(rows):
-            break
-        nz = np.nonzero(a[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        i = rank + int(nz[0])
-        a[[rank, i]] = a[[i, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
-        col = a[:, c].copy()
-        col[rank] = 0
-        a = (a - np.outer(col, a[rank])) % p
-        pivots.append(c)
-        rank += 1
-    out = {}
-    for r, c in enumerate(pivots):
-        nz = np.nonzero(a[r])[0]
-        out[c] = {int(j): int(a[r, j]) for j in nz}
-    return rank, out
-
-
-def _rref_exact(rows, ncols, field) -> tuple[int, dict[int, dict]]:
     work = [dict(r) for r in rows]
     pivrows: dict[int, dict] = {}
     for c in range(ncols):
-        pick = None
-        for i, r in enumerate(work):
-            if r.get(c):
-                pick = i
-                break
+        pick = next((i for i, r in enumerate(work) if r.get(c)), None)
         if pick is None:
             continue
         row = work.pop(pick)
         inv = field.inv(row[c])
         row = {j: field.mul(v, inv) for j, v in row.items()}
-        for r in work:
+        # clear column c from the rows still to be reduced and from the
+        # pivot rows already found, so the result is fully reduced
+        for r in (*work, *pivrows.values()):
             f = r.get(c)
             if f:
                 for j, v in row.items():
@@ -768,15 +771,6 @@ def _rref_exact(rows, ncols, field) -> tuple[int, dict[int, dict]]:
                         r.pop(j, None)
                     else:
                         r[j] = nv
-        for pc, pr in pivrows.items():
-            f = pr.get(c)
-            if f:
-                for j, v in row.items():
-                    nv = field.sub(pr.get(j, field.zero), field.mul(f, v))
-                    if field.is_zero(nv):
-                        pr.pop(j, None)
-                    else:
-                        pr[j] = nv
         pivrows[c] = row
         work = [r for r in work if r]
     return len(pivrows), pivrows

@@ -28,9 +28,10 @@ from .extension import (
 from .poly import (
     Polynomial,
     Ring,
-    buchberger,
     covered_columns,
+    groebner_basis,
     krull_dimension_lt,
+    memoized,
     mono_divides,
     mono_mul,
     monomials_of_degree,
@@ -191,13 +192,21 @@ def modB_normal_pair(m: ScrollMatrix, u: int, v: int, ring: Ring) -> RewriteTrac
 
 def _graded_coverage(
     vectors: ReductionVectors, b: IdealPresentation, rho: int
-) -> tuple[list[tuple], set[tuple]]:
+) -> tuple[tuple[tuple, ...], frozenset[tuple]]:
     """All degree-(rho+1) monomials and the subset covered by the span of
     {g_i * m : deg m = rho} and {m * gen : deg = rho+1, gen of B}.
 
-    Monomial generators strike their multiples outright; remaining rows are
-    reduced exactly over the field.
+    Computed once per run scope for each ring, forms, generators and rho.
     """
+    key = ("coverage", b.ring, tuple(vectors.forms), tuple(b.generators), rho)
+    return memoized(key, lambda: _compute_graded_coverage(vectors, b, rho))
+
+
+def _compute_graded_coverage(
+    vectors: ReductionVectors, b: IdealPresentation, rho: int
+) -> tuple[tuple[tuple, ...], frozenset[tuple]]:
+    """Monomial generators strike their multiples outright; remaining rows are
+    reduced exactly over the field."""
     ring = b.ring
     n = ring.nvars
     deg = rho + 1
@@ -236,9 +245,8 @@ def _graded_coverage(
                 rows.append(row)
 
     _, pivrows = rref_rows(rows, len(remaining), ring.field)
-    covered = set(struck)
-    covered.update(remaining[c] for c in covered_columns(pivrows))
-    return cols, covered
+    covered = struck.union(remaining[c] for c in covered_columns(pivrows))
+    return tuple(cols), frozenset(covered)
 
 
 def degree_containment(
@@ -255,7 +263,8 @@ def degree_containment(
 def monomial_covered(
     vectors: ReductionVectors, b: IdealPresentation, mono: tuple
 ) -> bool:
-    """Membership of a single degree-d monomial in (G*m + B) at its degree."""
+    """Membership of a single degree-d monomial in (G*m + B) at its degree;
+    a set lookup once the run holds that degree's coverage."""
     deg = sum(mono)
     assert deg >= 2
     _, covered = _graded_coverage(vectors, b, deg - 1)
@@ -270,11 +279,11 @@ def verify_sop(vectors: ReductionVectors, b: IdealPresentation) -> bool:
     """True iff the forms cut the quotient down to dimension zero; the number
     of forms must equal the quotient dimension."""
     ring = b.ring
-    gb_b = buchberger(list(b.generators), ring)
+    gb_b = groebner_basis(list(b.generators), ring)
     dim = krull_dimension_lt(gb_b, ring)
     if len(vectors.forms) != dim:
         raise WrongCount(f"{len(vectors.forms)} forms for dimension {dim}")
-    gb_all = buchberger(list(b.generators) + list(vectors.forms), ring)
+    gb_all = groebner_basis(list(b.generators) + list(vectors.forms), ring)
     return krull_dimension_lt(gb_all, ring) == 0
 
 
@@ -375,11 +384,10 @@ def _facet_condition(
     return FacetCondition(l, "degree-2-span", tuple(details))
 
 
-def verify_main_theorem(
-    ext: ExtensionComplex, ring: Ring, rho_max: int = 10
-) -> MainTheoremReport:
+def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
     """Full pipeline: coloration, reduction vectors, goodness on G', per-facet
-    hypotheses, SOP, and the reduction number (expected 1 when hypotheses hold)."""
+    hypotheses, then SOP and the degree-2 containment, which together give
+    reduction number 1."""
     base = ext.base
     # a skeleton can pass the d-tree criterion while its facets admit no
     # leaf order (a ring of three triangles), so fall back to the search
@@ -398,13 +406,13 @@ def verify_main_theorem(
         _facet_condition(ext, l, vectors, b, ring)
         for l in range(len(base.facets))
     )
-    if not verify_sop(vectors, b):
-        raise HypothesisFailed("reduction vectors are not a system of parameters")
-    ok, missing = degree_containment(vectors, b, 1)
-    if not ok:
+    try:
+        report = reduction_number(vectors, b, 1)
+    except NotSOP:
+        raise HypothesisFailed("reduction vectors are not a system of parameters") from None
+    if report.reduction_number != 1:
+        missing = report.witnesses[0][1]
         raise ContainmentFailed("uncovered degree-2 monomials: " + ", ".join(missing))
-    report = reduction_number(vectors, b, rho_max)
-    assert report.reduction_number == 1
     return MainTheoremReport(
         used_dtree=use_dtree,
         coloration=col,

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +330,43 @@ def test_reduce_fallback_does_not_turn_engine_faults_into_verdicts(monkeypatch) 
     with pytest.raises(OrderMismatch):
         run("reduce", parse_input(path))
     assert main(["reduce", "--input", path]) == EXIT_INTERNAL_ERROR
+
+
+def test_reduce_is_exact_for_a_prime_above_two_to_the_32() -> None:
+    doc = parse_input(str(FIXTURES / "cycles_full.json"))
+    doc = dataclasses.replace(doc, field_spec=4294967311, rho_max=2)
+    report = run("reduce", doc)
+    assert report["verdict"] is True
+    assert report["reduction"]["verdicts"] == [[1, False], [2, True]]
+    assert report["reduction"]["reduction_number"] == 2
+
+
+def test_reduce_and_oracle_never_import_numpy() -> None:
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from binomext.cli import parse_input, run\n"
+        f"doc = parse_input({str(FIXTURES / 'greduit.json')!r})\n"
+        "run('reduce', doc)\n"
+        "run('oracle', doc)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["decompose", "reduce", "oracle"])
+def test_consecutive_runs_render_identical_reports(command: str) -> None:
+    # each run starts from an empty memo, so `timing` repeats too
+    doc = parse_input(str(FIXTURES / "greduit.json"))
+    first = render_report(run(command, doc))
+    assert render_report(run(command, doc)) == first
+    run("oracle", doc)
+    assert render_report(run(command, doc)) == first
 
 
 def test_reduce_report_on_the_tetrahedron() -> None:

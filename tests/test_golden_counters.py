@@ -1,9 +1,10 @@
 """Pinned work counters of the Groebner-heavy commands.
 
 The counters (S-pairs taken from the queue, normal forms, rank rows) and the
-basis sizes are fixed by the S-pair sequence, so any change to pair
-selection or to the pair criteria shows up here even when every answer stays
-right. A change that alters a count on purpose updates this table and says
+basis sizes are fixed by the S-pair sequence and by the run memo, which
+computes each basis and graded coverage once per run, so any change to pair
+selection, to the pair criteria or to what a run recomputes shows up here
+even when every answer stays right. A change that alters a count on purpose updates this table and says
 why.
 """
 
@@ -29,35 +30,35 @@ def strip_document(n: int) -> dict:
 
 GOLDEN = {
     ("decompose", "greduit"): {
-        "normal_forms": 40, "s_pairs": 30, "groebner_size": 6, "intersection_size": 6
+        "normal_forms": 20, "s_pairs": 15, "groebner_size": 6, "intersection_size": 6
     },
-    ("hilbert", "greduit"): {"normal_forms": 40, "s_pairs": 30},
-    ("reduce", "greduit"): {"normal_forms": 96, "rank_rows": 68, "s_pairs": 120},
-    ("oracle", "greduit"): {"normal_forms": 205, "rank_rows": 1020, "s_pairs": 165},
+    ("hilbert", "greduit"): {"normal_forms": 20, "s_pairs": 15},
+    ("reduce", "greduit"): {"normal_forms": 48, "rank_rows": 34, "s_pairs": 60},
+    ("oracle", "greduit"): {"normal_forms": 97, "rank_rows": 34, "s_pairs": 60},
     ("decompose", "greduit1"): {
         "normal_forms": 942, "s_pairs": 2634, "groebner_size": 36, "intersection_size": 36
     },
     ("hilbert", "greduit1"): {"normal_forms": 303, "s_pairs": 742},
-    ("reduce", "greduit1"): {"normal_forms": 1048, "rank_rows": 148, "s_pairs": 2742},
-    ("oracle", "greduit1"): {"normal_forms": 2045, "rank_rows": 2516, "s_pairs": 4858},
+    ("reduce", "greduit1"): {"normal_forms": 524, "rank_rows": 37, "s_pairs": 1371},
+    ("oracle", "greduit1"): {"normal_forms": 1505, "rank_rows": 37, "s_pairs": 3459},
     ("decompose", "cycles_pair"): {
         "normal_forms": 69, "s_pairs": 73, "groebner_size": 6, "intersection_size": 6
     },
     ("hilbert", "cycles_pair"): {"normal_forms": 32, "s_pairs": 21},
-    ("reduce", "cycles_pair"): {"normal_forms": 110, "rank_rows": 40, "s_pairs": 102},
-    ("oracle", "cycles_pair"): {"normal_forms": 214, "rank_rows": 460, "s_pairs": 166},
+    ("reduce", "cycles_pair"): {"normal_forms": 55, "rank_rows": 20, "s_pairs": 51},
+    ("oracle", "cycles_pair"): {"normal_forms": 153, "rank_rows": 20, "s_pairs": 112},
     ("decompose", "cycles_full"): {
         "normal_forms": 866, "s_pairs": 2147, "groebner_size": 27, "intersection_size": 27
     },
     ("hilbert", "cycles_full"): {"normal_forms": 222, "s_pairs": 449},
     ("reduce", "cycles_full"): {"normal_forms": 323, "rank_rows": 168, "s_pairs": 786},
-    ("oracle", "cycles_full"): {"normal_forms": 1831, "rank_rows": 31356, "s_pairs": 3472},
+    ("oracle", "cycles_full"): {"normal_forms": 1490, "rank_rows": 168, "s_pairs": 2658},
     ("decompose", "strip3"): {
         "normal_forms": 261, "s_pairs": 437, "groebner_size": 15, "intersection_size": 15
     },
     ("hilbert", "strip3"): {"normal_forms": 100, "s_pairs": 135},
-    ("reduce", "strip3"): {"normal_forms": 292, "rank_rows": 54, "s_pairs": 516},
-    ("oracle", "strip3"): {"normal_forms": 606, "rank_rows": 1026, "s_pairs": 878},
+    ("reduce", "strip3"): {"normal_forms": 146, "rank_rows": 27, "s_pairs": 258},
+    ("oracle", "strip3"): {"normal_forms": 450, "rank_rows": 27, "s_pairs": 610},
 }
 
 

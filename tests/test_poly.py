@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomext import poly
 from binomext.poly import (
     PRIME_LIMIT,
     MonomialOrder,
@@ -23,6 +24,7 @@ from binomext.poly import (
     buchberger,
     covered_columns,
     field_by_name,
+    groebner_basis,
     groebner_equal,
     hilbert_data,
     ideal_intersection,
@@ -35,6 +37,7 @@ from binomext.poly import (
     monomials_of_degree,
     normal_form,
     rref_rows,
+    run_scope,
 )
 
 
@@ -418,3 +421,59 @@ def test_rref_detects_dependencies(field) -> None:
     rank, pivots = rref_rows(rows, 2, field)
     assert rank == 1
     assert covered_columns(pivots) == set()
+
+
+def test_rref_is_exact_for_primes_above_two_to_the_32() -> None:
+    # products of two entries exceed 2**63, where fixed-width arithmetic wraps
+    field = PrimeField(4294967311)
+    p, a, b, k = field.p, 4294967296, 4294967290, 4294967000
+    rows = [{0: a, 1: b}, {0: a * k % p, 1: b * k % p}, {2: p - 1}]
+    rank, pivots = rref_rows(rows, 3, field)
+    assert rank == 2
+    assert pivots == {0: {0: 1, 1: b * field.inv(a) % p}, 2: {2: 1}}
+    assert covered_columns(pivots) == {2}
+
+
+# ---------------------------------------------------------------------------
+# run scope
+
+
+def _twisted_cubic(r: Ring) -> list:
+    return [
+        poly_of(r, [((1, 0, 1, 0), 1), ((0, 2, 0, 0), -1)]),
+        poly_of(r, [((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)]),
+        poly_of(r, [((0, 1, 0, 1), 1), ((0, 0, 2, 0), -1)]),
+    ]
+
+
+def test_outside_a_run_every_basis_is_recomputed() -> None:
+    r = ring("a b c d")
+    poly.reset_counters()
+    first = buchberger(_twisted_cubic(r), r)
+    once = poly.counters["s_pairs"]
+    assert once > 0
+    assert buchberger(_twisted_cubic(r), r) == first
+    assert poly.counters["s_pairs"] == 2 * once
+    assert groebner_basis(_twisted_cubic(r), r) == first
+    assert poly.counters["s_pairs"] == 3 * once
+
+
+def test_a_run_computes_each_basis_once() -> None:
+    r = ring("a b c d")
+    with run_scope():
+        first = groebner_basis(_twisted_cubic(r), r)
+        work = dict(poly.counters)
+        # equal generators built again, in another order, are the same request
+        again = groebner_basis(list(reversed(_twisted_cubic(r))), r)
+        assert again == first and again is not first
+        assert poly.counters == work
+        # the caller owns its list: clearing it leaves the cached basis whole
+        again.clear()
+        assert groebner_basis(_twisted_cubic(r), r) == first
+        # another ring is another request
+        q = ring("a b c d", RationalField())
+        groebner_basis(_twisted_cubic(q), q)
+        assert poly.counters["s_pairs"] == 2 * work["s_pairs"]
+    poly.reset_counters()
+    groebner_basis(_twisted_cubic(r), r)
+    assert poly.counters == work

@@ -7,9 +7,12 @@ from itertools import combinations
 
 import pytest
 
+import binomext.reduce as reduce_module
 from binomext import (
     BothXVariables,
     Coloration,
+    ContainmentFailed,
+    HypothesisFailed,
     NoColorationFound,
     NotADTree,
     NotInMatrix,
@@ -32,12 +35,15 @@ from binomext import (
     normal_form,
     reduction_number,
     reduction_vectors,
+    run_scope,
     scroll_matrix,
     validate_complex,
     verify_main_theorem,
     verify_sop,
 )
 from binomext.cli import build_model, parse_document, run
+from binomext.poly import counters
+from binomext.reduce import ReductionReport
 from conftest import random_scroll_extension
 
 
@@ -268,6 +274,22 @@ def test_reduction_bound_can_be_exhausted(cycles_full) -> None:
     assert report.verdicts == ((1, False),)
 
 
+def test_a_run_builds_each_graded_coverage_once(greduit) -> None:
+    ring = greduit.ring
+    vecs = reduction_vectors(dtree_coloration(greduit.ext), ring)
+    with run_scope():
+        ok, _ = degree_containment(vecs, binomial_extension_ideal(greduit.ext, ring), 1)
+        rows = counters["rank_rows"]
+        # an equal presentation built again is the same request
+        b = binomial_extension_ideal(greduit.ext, ring)
+        covered = [monomial_covered(vecs, b, m) for m in monomials_of_degree(ring.nvars, 2)]
+        assert all(covered) == ok
+        assert counters["rank_rows"] == rows
+        # other forms (another coloration) are another request
+        degree_containment(vectors_by_names(greduit, [{"a"}, {"b"}, {"c"}, {"d"}]), b, 1)
+        assert counters["rank_rows"] > rows
+
+
 # ---------------------------------------------------------------------------
 # end-to-end verifier
 
@@ -334,6 +356,25 @@ def test_verifier_falls_back_when_a_dtree_skeleton_has_no_leaf_order() -> None:
     assert reduce_report["verdict"] is True
     assert reduce_report["coloration"]["method"] == "search"
     assert run("oracle", doc)["oracle"]["diffs"] == []
+
+
+def test_verifier_reports_a_failed_sop_as_a_hypothesis(greduit, monkeypatch) -> None:
+    def not_sop(*args, **kwargs):
+        raise NotSOP("forms do not generate a zero-dimensional quotient with B")
+
+    monkeypatch.setattr(reduce_module, "reduction_number", not_sop)
+    with pytest.raises(HypothesisFailed, match="^reduction vectors are not a system of parameters$"):
+        verify_main_theorem(greduit.ext, greduit.ring)
+
+
+def test_verifier_reports_uncovered_monomials_as_containment_failure(greduit, monkeypatch) -> None:
+    def uncovered(vectors, b, rho_max=10):
+        assert rho_max == 1
+        return ReductionReport(vectors, True, ((1, False),), ((1, ("a*b", "c^2")),), None, True)
+
+    monkeypatch.setattr(reduce_module, "reduction_number", uncovered)
+    with pytest.raises(ContainmentFailed, match=r"^uncovered degree-2 monomials: a\*b, c\^2$"):
+        verify_main_theorem(greduit.ext, greduit.ring)
 
 
 def test_verifier_rejects_the_four_cycle_complex(cycles_full) -> None:
