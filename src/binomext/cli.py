@@ -37,7 +37,9 @@ from .complexes import (
 from .extension import (
     DuplicatePointName,
     ExtensionComplex,
+    FacetExtendedTwice,
     FacetExtension,
+    FacetOutOfRange,
     NotAProperEdge,
     OriginMismatch,
     binomial_extension_ideal,
@@ -86,6 +88,8 @@ INPUT_ERRORS = (
     NotAProperEdge,
     OriginMismatch,
     DuplicatePointName,
+    FacetOutOfRange,
+    FacetExtendedTwice,
 )
 
 

@@ -242,15 +242,6 @@ def quasi_tree_order(facets) -> list[int] | None:
     return peel(frozenset(range(n)))
 
 
-def _quasi_tree_criterion(g: Graph, d: int) -> bool:
-    # connected + clique number d+1 + clique complex admits a leaf order
-    if not is_connected(g):
-        return False
-    if clique_number(g) != d + 1:
-        return False
-    return quasi_tree_order(maximal_cliques(g)) is not None
-
-
 def is_generalized_d_tree(g: Graph, d: int) -> DTreeVerdict:
     """Recursive-elimination verdict with a deterministic certificate.
 
@@ -259,39 +250,39 @@ def is_generalized_d_tree(g: Graph, d: int) -> DTreeVerdict:
     down to a complete graph on d+1 vertices. Removal of such a vertex never
     disconnects the graph and never loses the property, so the greedy order
     is a faithful certificate.
+
+    The maximal cliques are enumerated once. A removable vertex v is
+    simplicial, so N[v] is its only maximal clique, and every other maximal
+    clique stays maximal without v: the count k of (d+1)-cliques drops by
+    [|N(v)| = d] when v goes, and the clique number stays d+1 while k >= 1.
     """
-    out = _eliminate(g, d)
-    assert out.verdict == _quasi_tree_criterion(g, d), "criteria disagree"
-    return out
-
-
-def _eliminate(g: Graph, d: int) -> DTreeVerdict:
     if not g.vertex_ids:
         return DTreeVerdict(False, (), "empty graph")
     if not is_connected(g):
         return DTreeVerdict(False, (), "Disconnected")
-    if clique_number(g) != d + 1:
-        return DTreeVerdict(False, (), f"clique number is {clique_number(g)}, need {d + 1}")
+    sizes = [len(c) for c in maximal_cliques(g)]
+    if max(sizes) != d + 1:
+        return DTreeVerdict(False, (), f"clique number is {max(sizes)}, need {d + 1}")
+    k = sizes.count(d + 1)
+    adj = g.adjacency()
     order: list[int] = []
-    cur = g
-    while len(cur.vertex_ids) > d + 1:
-        adj = cur.adjacency()
+    while len(adj) > d + 1:
         pick = None
-        for v in sorted(cur.vertex_ids):
+        for v in sorted(adj):
             nb = adj[v]
-            if not 1 <= len(nb) <= d:
+            if not 1 <= len(nb) <= d or k - (len(nb) == d) < 1:
                 continue
-            if not all(cur.has_edge(a, b) for a, b in combinations(sorted(nb), 2)):
-                continue
-            if clique_number(cur.without(v)) == d + 1:
+            if all(b in adj[a] for a, b in combinations(nb, 2)):
                 pick = v
                 break
         if pick is None:
             return DTreeVerdict(False, tuple(order), "no removable vertex")
         order.append(pick)
-        cur = cur.without(pick)
+        k -= len(adj[pick]) == d
+        for w in adj.pop(pick):
+            adj[w].discard(pick)
     # clique number d+1 on d+1 vertices forces the complete graph
-    assert all(cur.has_edge(u, v) for u, v in combinations(sorted(cur.vertex_ids), 2))
+    assert all(len(nb) == d for nb in adj.values())
     return DTreeVerdict(True, tuple(order), None)
 
 
@@ -312,13 +303,15 @@ def stanley_reisner_generators(sc: SimplicialComplex) -> list[tuple[int, ...]]:
         (u, v) for u, v in combinations(range(n), 2) if v not in adj[u]
     ]
 
+    top = sc.dim + 2
+
     def grow(clique: tuple[int, ...], cands: set[int]) -> None:
         size = len(clique)
         if size >= 3 and not sc.is_face(clique):
             if all(sc.is_face(clique[:i] + clique[i + 1 :]) for i in range(size)):
                 out.append(clique)
             return  # supersets contain this non-face, never minimal
-        if size == sc.dim + 2:
+        if size == top:
             return
         for v in sorted(cands):
             grow(clique + (v,), {w for w in cands if w > v and w in adj[v]})

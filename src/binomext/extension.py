@@ -33,6 +33,14 @@ class DuplicatePointName(ValueError):
     """A new point name collides with a vertex or another point."""
 
 
+class FacetOutOfRange(ValueError):
+    """An extension names a facet index the base complex does not have."""
+
+
+class FacetExtendedTwice(ValueError):
+    """Two extensions name the same facet."""
+
+
 class EmptyExtension(ValueError):
     """The facet carries no new points, so it has no scroll matrix."""
 
@@ -108,8 +116,10 @@ def build_extension_complex(
     slots: list[FacetExtension | None] = [None] * len(base.facets)
     for fe in exts:
         l = fe.star.facet
-        assert 0 <= l < len(base.facets), f"facet index {l} out of range"
-        assert slots[l] is None, f"facet {l} extended twice"
+        if not 0 <= l < len(base.facets):
+            raise FacetOutOfRange(f"facet index {l} out of range")
+        if slots[l] is not None:
+            raise FacetExtendedTwice(f"facet {l} extended twice")
         f = base.facets[l]
         if fe.star.origin not in f:
             raise OriginMismatch(
@@ -254,11 +264,12 @@ def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresenta
         for p in facet_minors(ext, ring, l):
             if p not in gens:
                 gens.append(p)
+    zero, one = [0] * ring.nvars, ring.field.one
     for nf in stanley_reisner_generators(ext.extended_complex()):
-        e = [0] * ring.nvars
+        e = zero.copy()
         for v in nf:
             e[v] = 1
-        gens.append(ring.monomial(tuple(e)))
+        gens.append(Polynomial(ring, {tuple(e): one}))
     return IdealPresentation(ring, tuple(gens), label="B")
 
 

@@ -12,7 +12,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
 from math import comb
 
 
@@ -239,6 +239,8 @@ class Ring:
         return p
 
     def mono_str(self, m: tuple) -> str:
+        if max(m, default=0) <= 1:  # squarefree: the names of the set bits
+            return "*".join(compress(self.names, m)) or "1"
         parts = [
             self.names[i] if e == 1 else f"{self.names[i]}^{e}"
             for i, e in enumerate(m)
@@ -349,7 +351,8 @@ class Polynomial:
             return "0"
         f = self.ring.field
         out = []
-        for m, c in self.sorted_terms():
+        terms = self.sorted_terms() if len(self.terms) > 1 else self.terms.items()
+        for m, c in terms:
             cs = f.to_str(c)
             mono = self.ring.mono_str(m)
             if mono == "1":

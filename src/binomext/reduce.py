@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .color import (
     Coloration,
+    EmptyClass,
     NotADTree,
     ReductionVectors,
     dtree_coloration,
@@ -397,7 +398,10 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
         col, use_dtree = search_binomial_coloration(ext), False
         if col is None:
             raise NoColorationFound("no binomial coloration exists")
-    vectors = reduction_vectors(col, ring)
+    try:
+        vectors = reduction_vectors(col, ring)
+    except EmptyClass as exc:
+        raise HypothesisFailed(f"reduction vectors: {exc}") from None
     b = binomial_extension_ideal(ext, ring)
     good = is_good_coloration(g_prime_graph(ext), col)
     if not good:

@@ -80,6 +80,27 @@ def _attach_random_extensions(
     return build_extension_complex(base, exts)
 
 
+def extension_document(ext: ExtensionComplex) -> dict:
+    """An input document that rebuilds ext with the same vertex ids."""
+    base = ext.base
+    return {
+        "vertices": [v.name for v in base.vertices],
+        "facets": [[base.name_of(v) for v in sorted(f)] for f in base.facets],
+        "extensions": [
+            {
+                "facet": l,
+                "origin": base.name_of(fe.star.origin),
+                "edges": [
+                    {"target": base.name_of(t), "points": list(p)}
+                    for t, p in zip(fe.star.targets, fe.points)
+                ],
+            }
+            for l, fe in enumerate(ext.extensions)
+            if fe is not None
+        ],
+    }
+
+
 def random_small_extension(seed: int) -> ExtensionComplex:
     """Random complex with <= 8 base vertices, <= 3 facets, <= 2 points/edge."""
     rng = random.Random(seed)
@@ -126,7 +147,8 @@ def random_dtree_extension(seed: int) -> ExtensionComplex:
     for _ in range(rng.randint(0, 5)):
         host = rng.choice(facets)
         size = rng.randint(1, d)
-        sub = rng.sample(sorted(host), size)
+        # a host smaller than the drawn size lends all its vertices
+        sub = rng.sample(sorted(host), min(size, len(host)))
         v = len(vertices)
         vertices.append(v)
         edges.update((u, v) for u in sub)

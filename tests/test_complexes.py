@@ -6,6 +6,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomext.complexes import (
     DuplicateVertexInFacet,
@@ -25,6 +27,7 @@ from binomext.complexes import (
     stanley_reisner_generators,
     validate_complex,
 )
+from conftest import random_dtree_extension
 
 
 def names_of(sc, vids) -> set[str]:
@@ -170,17 +173,57 @@ def test_band_of_triangles_with_hole_is_rejected() -> None:
     assert not is_generalized_d_tree(skeleton_graph(sc), 2).verdict
 
 
+def _quasi_tree_criterion(g, d: int) -> bool:
+    """Independent d-tree criterion: connected, clique number d+1, and the
+    clique complex admits a leaf order of its facets."""
+    if not is_connected(g):
+        return False
+    if clique_number(g) != d + 1:
+        return False
+    return quasi_tree_order(maximal_cliques(g)) is not None
+
+
+def _assert_valid_certificate(g, d: int, order) -> None:
+    """Each eliminated vertex has a complete neighbourhood of 1..d vertices
+    when it goes, and what remains is the complete graph on d+1 vertices."""
+    adj = g.adjacency()
+    for v in order:
+        nb = adj.pop(v)
+        assert 1 <= len(nb) <= d
+        assert all(b in adj[a] for a, b in combinations(nb, 2))
+        for w in nb:
+            adj[w].discard(v)
+    assert len(adj) == d + 1
+    assert all(len(nb) == d for nb in adj.values())
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_d_tree_recognizer_cross_checks_on_random_graphs(seed: int) -> None:
-    # is_generalized_d_tree internally asserts agreement between vertex
-    # elimination and the facet peel criterion; exercise both paths
+    # vertex elimination against the facet peel criterion
     rng = random.Random(seed)
     n = rng.randint(2, 8)
     vertices = list(range(n))
     edges = [e for e in combinations(vertices, 2) if rng.random() < 0.5]
     g = graph(vertices, edges)
     for d in (1, 2, 3):
-        is_generalized_d_tree(g, d)
+        assert is_generalized_d_tree(g, d).verdict == _quasi_tree_criterion(g, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), drop=st.integers(min_value=0))
+def test_d_tree_recognizer_certifies_d_trees_and_near_misses(seed: int, drop: int) -> None:
+    base = random_dtree_extension(seed).base
+    d = base.dim
+    g = skeleton_graph(base)
+    edges = sorted(g.edges)
+    i = drop % len(edges)
+    near_miss = graph(g.vertex_ids, edges[:i] + edges[i + 1 :])
+    assert is_generalized_d_tree(g, d).verdict
+    for h in (g, near_miss):
+        out = is_generalized_d_tree(h, d)
+        assert out.verdict == _quasi_tree_criterion(h, d)
+        if out.verdict:
+            _assert_valid_certificate(h, d, out.elimination_order)
 
 
 # ---------------------------------------------------------------------------

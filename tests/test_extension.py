@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from binomext import (
     DuplicatePointName,
     EmptyExtension,
+    FacetExtendedTwice,
     FacetExtension,
+    FacetOutOfRange,
     NotAProperEdge,
     OriginMismatch,
     ProperStar,
@@ -27,6 +34,7 @@ from binomext import (
     stanley_reisner_generators,
     validate_complex,
 )
+from binomext.cli import INPUT_ERRORS
 from conftest import random_small_extension
 
 
@@ -50,6 +58,48 @@ def test_shared_edge_is_not_proper() -> None:
     star = ProperStar(0, base.id_of("b"), (base.id_of("c"),))
     with pytest.raises(NotAProperEdge):
         build_extension_complex(base, [FacetExtension(star, ((),))])
+
+
+def test_facet_index_must_exist() -> None:
+    base = validate_complex([["a", "b", "c"]])
+    star = ProperStar(1, base.id_of("a"), (base.id_of("b"),))
+    with pytest.raises(FacetOutOfRange, match="facet index 1 out of range"):
+        build_extension_complex(base, [FacetExtension(star, ((),))])
+
+
+def test_facet_is_extended_at_most_once() -> None:
+    base = validate_complex([["a", "b", "c"]])
+    star = ProperStar(0, base.id_of("a"), (base.id_of("b"),))
+    with pytest.raises(FacetExtendedTwice, match="facet 0 extended twice"):
+        build_extension_complex(base, [FacetExtension(star, ((),)), FacetExtension(star, ((),))])
+
+
+def test_construction_errors_are_input_errors() -> None:
+    assert FacetOutOfRange in INPUT_ERRORS
+    assert FacetExtendedTwice in INPUT_ERRORS
+
+
+def test_construction_errors_survive_optimized_mode() -> None:
+    # python -O strips asserts; these checks must not depend on them
+    code = (
+        "from binomext import (FacetExtendedTwice, FacetExtension, FacetOutOfRange,\n"
+        "    ProperStar, build_extension_complex, validate_complex)\n"
+        "base = validate_complex([['a', 'b', 'c']])\n"
+        "star = ProperStar(0, 0, (1,))\n"
+        "for exts in ([FacetExtension(ProperStar(1, 0, (1,)), ((),))],\n"
+        "             [FacetExtension(star, ((),)), FacetExtension(star, ((),))]):\n"
+        "    try:\n"
+        "        build_extension_complex(base, exts)\n"
+        "    except (FacetOutOfRange, FacetExtendedTwice) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["FacetOutOfRange", "FacetExtendedTwice"]
 
 
 def test_point_names_must_be_fresh() -> None:

@@ -178,6 +178,61 @@ def test_polynomial_string_forms() -> None:
     assert str(p) == "x^2 - y"
     assert str(poly_of(r, [((1, 0), 1), ((0, 2), -1)])) == "-y^2 + x"
     assert str(r.zero()) == "0"
+    # single terms print without sorting, squarefree ones by their names
+    assert str(r.monomial((1, 1))) == "x*y"
+    assert str(r.monomial((2, 1))) == "x^2*y"
+    assert str(r.monomial((1, 1), 3)) == "3*x*y"
+    assert str(r.monomial((1, 0), -1)) == "-x"
+    assert str(r.one()) == "1"
+    assert str(r.monomial((0, 0), -1)) == "-1"
+    q = ring("x y", RationalField())
+    assert str(q.monomial((1, 0), Fraction(1, 2))) == "1/2*x"
+    # an exponent above 1 inside a multi-term polynomial
+    assert str(poly_of(r, [((2, 3), 1), ((1, 1), -2), ((0, 0), 1)])) == "x^2*y^3 - 2*x*y + 1"
+    assert str(poly_of(q, [((0, 1), Fraction(-1, 2)), ((3, 0), 1)])) == "x^3 - 1/2*y"
+
+
+def _reference_str(p) -> str:
+    """The printed form, rendered term by term in descending order."""
+    if p.is_zero():
+        return "0"
+    out = []
+    for m, c in p.sorted_terms():
+        cs = p.ring.field.to_str(c)
+        mono = "*".join(
+            n if e == 1 else f"{n}^{e}" for n, e in zip(p.ring.names, m) if e
+        ) or "1"
+        if mono == "1":
+            piece = cs
+        elif cs == "1":
+            piece = mono
+        elif cs == "-1":
+            piece = f"-{mono}"
+        else:
+            piece = f"{cs}*{mono}"
+        if not out:
+            out.append(piece)
+        else:
+            out.append(f"- {piece[1:]}" if piece.startswith("-") else f"+ {piece}")
+    return " ".join(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.sampled_from(["lex", "deglex", "degrevlex"]),
+    rational=st.booleans(),
+    terms=st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 3)] * 3),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        ),
+        max_size=5,
+    ),
+)
+def test_printing_matches_a_sorted_rendering(order: str, rational: bool, terms) -> None:
+    r = ring("x y z", RationalField() if rational else None, order)
+    p = poly_of(r, terms)
+    assert str(p) == _reference_str(p)
 
 
 def test_mixed_ring_operations_rejected() -> None:

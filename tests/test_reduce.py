@@ -6,6 +6,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import binomext.reduce as reduce_module
 from binomext import (
@@ -44,7 +46,7 @@ from binomext import (
 from binomext.cli import build_model, parse_document, run
 from binomext.poly import counters
 from binomext.reduce import ReductionReport
-from conftest import random_scroll_extension
+from conftest import extension_document, random_scroll_extension, random_small_extension
 
 
 def vid(model, name: str) -> int:
@@ -375,6 +377,45 @@ def test_verifier_reports_uncovered_monomials_as_containment_failure(greduit, mo
     monkeypatch.setattr(reduce_module, "reduction_number", uncovered)
     with pytest.raises(ContainmentFailed, match=r"^uncovered degree-2 monomials: a\*b, c\^2$"):
         verify_main_theorem(greduit.ext, greduit.ring)
+
+
+def test_an_empty_color_class_fails_the_hypothesis() -> None:
+    # the d-tree coloration of this simplex leaves class 3 without a vertex,
+    # so there are only three reduction vectors for four classes
+    doc = {
+        "facets": [["v0", "v3", "v4", "v5"]],
+        "extensions": [
+            {
+                "facet": 0,
+                "origin": "v3",
+                "edges": [
+                    {"target": "v0", "points": ["p1"]},
+                    {"target": "v4", "points": ["p2"]},
+                    {"target": "v5", "points": []},
+                ],
+            }
+        ],
+    }
+    model = build_model(parse_document(doc))
+    with pytest.raises(HypothesisFailed, match="class 3 is empty"):
+        verify_main_theorem(model.ext, model.ring)
+    report = run("reduce", parse_document(doc))
+    assert report["verdict"] is False
+    assert report["reduction"]["failure"].startswith("HypothesisFailed: reduction vectors")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_reduce_verdicts_agree_across_fields(seed: int) -> None:
+    doc = extension_document(random_small_extension(seed))
+    answers = []
+    for field in (32003, 4294967311, "rational"):
+        report = run("reduce", parse_document({**doc, "field": field, "options": {"rho_max": 3}}))
+        reduction = report["reduction"]
+        answers.append(
+            (report["verdict"], reduction.get("reduction_number"), reduction.get("bound_exceeded"))
+        )
+    assert answers[0] == answers[1] == answers[2]
 
 
 def test_verifier_rejects_the_four_cycle_complex(cycles_full) -> None:
