@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failed, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -16,14 +15,11 @@ from dataclasses import dataclass
 from . import poly
 from .color import (
     Coloration,
-    EmptyClass,
-    NotADTree,
-    dtree_coloration,
+    find_coloration,
     g_prime_graph,
     is_binomial_coloration,
     is_good_coloration,
     reduction_vectors,
-    search_binomial_coloration,
 )
 from .complexes import (
     DuplicateVertexInFacet,
@@ -61,12 +57,11 @@ from .poly import (
     normal_form,
 )
 from .reduce import (
+    REDUCTION_FAILURES,
     BothXVariables,
     ContainmentFailed,
     HypothesisFailed,
     NoColorationFound,
-    NotSOP,
-    WrongCount,
     degree_containment,
     modB_normal_pair,
     monomial_covered,
@@ -348,13 +343,6 @@ def _coloration_section(ext: ExtensionComplex, col: Coloration, method: str) -> 
     }
 
 
-def _find_coloration(ext: ExtensionComplex, require_good: bool) -> tuple[Coloration | None, str]:
-    try:
-        return dtree_coloration(ext), "dtree"
-    except NotADTree:
-        return search_binomial_coloration(ext, require_good=require_good), "search"
-
-
 def _reduction_section(rep) -> dict:
     return {
         "vectors": [str(g) for g in rep.vectors.forms],
@@ -441,11 +429,10 @@ def _cmd_hilbert(model: Model) -> tuple[bool, dict]:
     expected = 1 + ext.base.dim
     comps = []
     ok = hd.dimension == expected
-    for c in component_ideals(ext, ring):
+    for c, facet in zip(component_ideals(ext, ring), ext.base.facets):
         gb_c = groebner_basis(list(c.generators), ring)
         dim_c = hilbert_data(gb_c, ring).dimension
-        l = int(c.label.split("_")[1])
-        want = 1 + (len(ext.base.facets[l]) - 1)
+        want = len(facet)
         ok = ok and dim_c == want
         comps.append({"label": c.label, "dimension": dim_c, "expected": want})
     section = {
@@ -461,7 +448,7 @@ def _cmd_hilbert(model: Model) -> tuple[bool, dict]:
 
 def _cmd_color(model: Model) -> tuple[bool, dict]:
     ext = model.ext
-    col, method = _find_coloration(ext, require_good=True)
+    col, method = find_coloration(ext)
     if col is None:
         return False, {
             "coloration": {
@@ -500,7 +487,7 @@ def _cmd_reduce(model: Model) -> tuple[bool, dict]:
     except (NoColorationFound, HypothesisFailed, ContainmentFailed) as exc:
         failure = f"{type(exc).__name__}: {exc}"
 
-    col, method = _find_coloration(ext, require_good=False)
+    col, method = find_coloration(ext, require_good=False)
     if col is None:
         return False, {
             "coloration": None,
@@ -511,7 +498,7 @@ def _cmd_reduce(model: Model) -> tuple[bool, dict]:
     try:
         vectors = reduction_vectors(col, ring)
         rep = reduction_number(vectors, b, rho_max)
-    except (NotSOP, WrongCount, EmptyClass) as exc:
+    except REDUCTION_FAILURES as exc:
         sections["reduction"] = {
             "theorem_applies": False,
             "failure": f"{failure}; then {type(exc).__name__}: {exc}",
@@ -558,9 +545,8 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
     hd = hilbert_data(gb_b, ring)
     dims_ok &= kd == hd.dimension == expected
     details.append(f"ideal: lt {kd}, series {hd.dimension}, expected {expected}")
-    for c, gb_c in zip(comps, comp_gbs):
-        l = int(c.label.split("_")[1])
-        want = 1 + (len(base.facets[l]) - 1)
+    for c, gb_c, facet in zip(comps, comp_gbs, base.facets):
+        want = len(facet)
         kd_c = krull_dimension_lt(gb_c, ring)
         hd_c = hilbert_data(gb_c, ring).dimension
         dims_ok &= kd_c == hd_c == want
@@ -591,19 +577,23 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
                     rewrite_ok = False
     record("rewriter", rewrite_ok, f"{pairs} variable pairs checked")
 
-    col, method = _find_coloration(ext, require_good=False)
+    col, method = find_coloration(ext, require_good=False)
+    vectors = rep = None
+    if col is not None:
+        try:
+            vectors = reduction_vectors(col, ring)
+            rep = reduction_number(vectors, b, rho_max)
+        except REDUCTION_FAILURES:
+            pass  # without a reduction number only rho = 1 is cross-checked
     if col is None:
         record("containment", True, "skipped: no coloration available")
+    elif vectors is None:
+        record("containment", True, f"skipped: the {method} coloration leaves a class empty")
     else:
-        vectors = reduction_vectors(col, ring)
         gb_bg = groebner_basis(list(b.generators) + list(vectors.forms), ring)
         rhos = [1]
-        try:
-            rep = reduction_number(vectors, b, rho_max)
-            if rep.reduction_number not in (None, 1):
-                rhos.append(rep.reduction_number)
-        except (NotSOP, WrongCount):
-            pass
+        if rep is not None and rep.reduction_number not in (None, 1):
+            rhos.append(rep.reduction_number)
         cont_ok = True
         checked = 0
         for rho in rhos:
@@ -707,31 +697,20 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.monotonic()
     try:
-        doc = parse_input(args.input)
-        overrides: dict = {}
+        # overrides go into the document, so parse_document validates them
+        data = document_dict(parse_input(args.input))
         if args.field is not None:
-            spec: int | str = args.field if args.field == "rational" else None
-            if spec is None:
-                try:
-                    spec = int(args.field)
-                except ValueError:
-                    raise SchemaError("field: expected a prime integer or 'rational'") from None
-                try:
-                    field_by_name(spec)
-                except ValueError as exc:
-                    raise SchemaError(f"field: {exc}") from exc
-            overrides["field_spec"] = spec
+            try:
+                data["field"] = int(args.field)
+            except ValueError:
+                data["field"] = args.field
         if args.order is not None:
-            overrides["order"] = args.order
+            data["order"] = args.order
         if args.rho_max is not None:
-            if args.rho_max < 1:
-                raise SchemaError("options.rho_max: expected a positive integer")
-            overrides["rho_max"] = args.rho_max
+            data["options"]["rho_max"] = args.rho_max
         if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            doc = dataclasses.replace(doc, **overrides)
-        report = run(args.command, doc, with_oracle=args.oracle)
+            data["options"]["seed"] = args.seed
+        report = run(args.command, parse_document(data), with_oracle=args.oracle)
     except (SchemaError, UnknownName, *INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,6 +1,7 @@
 """Colorations of reduced graphs: proper/good checks, the per-facet binomial
 conditions, a backtracking search, the recursive construction for generalized
-d-tree skeletons, and the linear reduction vectors g_i.
+d-tree skeletons, the choice between the two, and the linear reduction
+vectors g_i.
 """
 from __future__ import annotations
 
@@ -360,6 +361,21 @@ def dtree_coloration(ext: ExtensionComplex) -> Coloration:
     if not ok:
         raise ValidationFailed("; ".join(bad))
     return col
+
+
+def find_coloration(
+    ext: ExtensionComplex, require_good: bool = True
+) -> tuple[Coloration | None, str]:
+    """The d-tree construction where it applies, else the first coloration
+    the search finds (None when there is none), with the method's name.
+
+    A skeleton can pass the d-tree criterion while its facets admit no leaf
+    order (a ring of three triangles), so the search is the fallback for both.
+    """
+    try:
+        return dtree_coloration(ext), "dtree"
+    except NotADTree:
+        return search_binomial_coloration(ext, require_good=require_good), "search"
 
 
 # ---------------------------------------------------------------------------

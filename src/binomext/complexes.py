@@ -216,30 +216,25 @@ def quasi_tree_order(facets) -> list[int] | None:
     """Build order (reverse leaf-removal) of a facet list, or None.
 
     A leaf of a facet set S is F with F cap union(S-F) inside a single other
-    member. Backtracking over which leaf to remove; memo on remaining sets.
+    member. The facet sets with a leaf order are the clique complexes of
+    chordal graphs (Herzog, Hibi, Trung & Zheng 2008), and removing a leaf
+    keeps that property, so the lowest-index leaf is removed each time and no
+    choice is ever undone.
     """
     facets = list(facets)
-    n = len(facets)
-    dead: set[frozenset[int]] = set()
-
-    def peel(remaining: frozenset[int]) -> list[int] | None:
-        if len(remaining) == 1:
-            return [next(iter(remaining))]
-        if remaining in dead:
-            return None
-        for i in sorted(remaining):
-            rest = remaining - {i}
+    remaining = list(range(len(facets)))
+    removed: list[int] = []
+    while len(remaining) > 1:
+        for i in remaining:
+            rest = [j for j in remaining if j != i]
             boundary = facets[i] & frozenset().union(*(facets[j] for j in rest))
-            if any(boundary <= facets[j] for j in sorted(rest)):
-                tail = peel(rest)
-                if tail is not None:
-                    return tail + [i]
-        dead.add(remaining)
-        return None
-
-    if n == 0:
-        return None
-    return peel(frozenset(range(n)))
+            if any(boundary <= facets[j] for j in rest):
+                break
+        else:
+            return None
+        remaining.remove(i)
+        removed.append(i)
+    return remaining + removed[::-1] if remaining else None
 
 
 def is_generalized_d_tree(g: Graph, d: int) -> DTreeVerdict:

@@ -10,13 +10,11 @@ from dataclasses import dataclass
 from .color import (
     Coloration,
     EmptyClass,
-    NotADTree,
     ReductionVectors,
-    dtree_coloration,
+    find_coloration,
     g_prime_graph,
     is_good_coloration,
     reduction_vectors,
-    search_binomial_coloration,
 )
 from .extension import (
     ExtensionComplex,
@@ -54,6 +52,16 @@ class WrongCount(ValueError):
 
 class NotSOP(ValueError):
     """The forms are not a system of parameters modulo the ideal."""
+
+
+# The ways the reduction-vector certificate can fail to apply to a coloration:
+# a class with no vertex gives no form, and the forms must be a system of
+# parameters, one per dimension of the quotient.
+REDUCTION_FAILURES = (EmptyClass, WrongCount, NotSOP)
+
+
+class RewriterDiverged(RuntimeError):
+    """The rewriter took more slides than the matrix has positions squared."""
 
 
 class NoColorationFound(RuntimeError):
@@ -142,6 +150,19 @@ def _global_column(m: ScrollMatrix, b: int, t: int) -> int:
     return sum(len(bl.run) - 1 for bl in m.blocks[:b]) + t
 
 
+def _slide(m: ScrollMatrix, p: tuple[int, int], q: tuple[int, int]):
+    """One slide of a non-canonical pair: its new positions and the two
+    columns of the minor that moves it."""
+    (pb, pi), (qb, qi) = p, q
+    if pb == qb:
+        assert pi >= 1 and qi <= len(m.blocks[pb].run) - 2, "no slide available"
+        c1, c2 = _global_column(m, pb, pi - 1), _global_column(m, pb, qi)
+        return (pb, pi - 1), (qb, qi + 1), c1, c2
+    assert pi <= len(m.blocks[pb].run) - 2 and qi >= 1, "no slide available"
+    c1, c2 = _global_column(m, pb, pi), _global_column(m, qb, qi - 1)
+    return (pb, pi + 1), (qb, qi - 1), c1, c2
+
+
 def modB_normal_pair(m: ScrollMatrix, u: int, v: int, ring: Ring) -> RewriteTrace:
     """Slide the product u*v along scroll minors to a canonical family.
 
@@ -171,19 +192,9 @@ def modB_normal_pair(m: ScrollMatrix, u: int, v: int, ring: Ring) -> RewriteTrac
         fam = _family(m, p, q)
         if fam is not None:
             return RewriteTrace(start, tuple(steps), (var_at(p), var_at(q)), fam)
-        assert len(steps) < bound, "rewriter failed to terminate"
-        (pb, pi), (qb, qi) = p, q
-        if pb == qb:
-            run = m.blocks[pb].run
-            assert pi >= 1 and qi <= len(run) - 2, "no slide available"
-            c1 = _global_column(m, pb, pi - 1)
-            c2 = _global_column(m, pb, qi)
-            p, q = (pb, pi - 1), (qb, qi + 1)
-        else:
-            assert pi <= len(m.blocks[pb].run) - 2 and qi >= 1, "no slide available"
-            c1 = _global_column(m, pb, pi)
-            c2 = _global_column(m, qb, qi - 1)
-            p, q = (pb, pi + 1), (qb, qi - 1)
+        if len(steps) >= bound:
+            raise RewriterDiverged(f"no canonical family after {bound} slides")
+        p, q, c1, c2 = _slide(m, p, q)
         steps.append(RewriteStep(column_minor(m, ring, c1, c2), (var_at(p), var_at(q))))
 
 
@@ -390,14 +401,9 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
     hypotheses, then SOP and the degree-2 containment, which together give
     reduction number 1."""
     base = ext.base
-    # a skeleton can pass the d-tree criterion while its facets admit no
-    # leaf order (a ring of three triangles), so fall back to the search
-    try:
-        col, use_dtree = dtree_coloration(ext), True
-    except NotADTree:
-        col, use_dtree = search_binomial_coloration(ext), False
-        if col is None:
-            raise NoColorationFound("no binomial coloration exists")
+    col, method = find_coloration(ext)
+    if col is None:
+        raise NoColorationFound("no binomial coloration exists")
     try:
         vectors = reduction_vectors(col, ring)
     except EmptyClass as exc:
@@ -418,7 +424,7 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
         missing = report.witnesses[0][1]
         raise ContainmentFailed("uncovered degree-2 monomials: " + ", ".join(missing))
     return MainTheoremReport(
-        used_dtree=use_dtree,
+        used_dtree=method == "dtree",
         coloration=col,
         vectors=vectors,
         goodness_ok=good,

@@ -332,6 +332,59 @@ def test_reduce_fallback_does_not_turn_engine_faults_into_verdicts(monkeypatch) 
     assert main(["reduce", "--input", path]) == EXIT_INTERNAL_ERROR
 
 
+def test_a_diverging_rewriter_is_an_internal_error_under_python_O() -> None:
+    # the rewriter's step bound is a typed error, so it still fires when
+    # python -O strips asserts, and main maps it to exit code 3
+    code = (
+        "import sys\n"
+        "import binomext.reduce as r\n"
+        "from binomext.cli import main\n"
+        "r._family = lambda m, p, q: None\n"
+        "r._slide = lambda m, p, q: (p, q, 0, 1)\n"
+        f"sys.exit(main(['oracle', '--input', {str(FIXTURES / 'greduit.json')!r}]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == EXIT_INTERNAL_ERROR, out.stderr
+    assert out.stderr.startswith("internal error: RewriterDiverged: no canonical family after")
+    assert out.stdout == ""
+
+
+def test_oracle_skips_containment_when_a_class_is_empty(tmp_path, capsys) -> None:
+    # the d-tree coloration of this simplex leaves class 3 without a vertex,
+    # so there are no reduction vectors to cross-check
+    doc = {
+        "facets": [["v0", "v3", "v4", "v5"]],
+        "extensions": [
+            {
+                "facet": 0,
+                "origin": "v3",
+                "edges": [
+                    {"target": "v0", "points": ["p1"]},
+                    {"target": "v4", "points": ["p2"]},
+                    {"target": "v5", "points": []},
+                ],
+            }
+        ],
+    }
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--input", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["oracle"]["checks"]}
+    assert checks["containment"] == {
+        "name": "containment",
+        "ok": True,
+        "detail": "skipped: the dtree coloration leaves a class empty",
+    }
+    assert report["oracle"]["diffs"] == []
+    assert main(["reduce", "--oracle", "--input", str(path)]) == EXIT_VERDICT_FALSE
+    capsys.readouterr()
+
+
 def test_reduce_is_exact_for_a_prime_above_two_to_the_32() -> None:
     doc = parse_input(str(FIXTURES / "cycles_full.json"))
     doc = dataclasses.replace(doc, field_spec=4294967311, rho_max=2)
@@ -440,11 +493,18 @@ def test_main_exit_two_on_input_errors(tmp_path, capsys) -> None:
 
 
 def test_main_rejects_bad_overrides(capsys) -> None:
+    # an override is validated by parse_document, like the document itself,
+    # so the message is the parser's
     path = str(FIXTURES / "greduit.json")
-    assert main(["hilbert", "--input", path, "--field", "4"]) == EXIT_INPUT_ERROR
-    assert main(["hilbert", "--input", path, "--field", "x"]) == EXIT_INPUT_ERROR
-    assert main(["hilbert", "--input", path, "--rho-max", "0"]) == EXIT_INPUT_ERROR
-    capsys.readouterr()
+    for override, message in (
+        (["--field", "4"], "field: field characteristic must be prime, got 4"),
+        (["--field", "x"], "field: unknown field name 'x'"),
+        (["--rho-max", "0"], "options.rho_max: expected a positive integer"),
+    ):
+        assert main(["hilbert", "--input", path, *override]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_main_overrides_are_echoed_in_the_report(capsys) -> None:

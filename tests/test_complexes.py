@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,7 @@ from binomext.complexes import (
     stanley_reisner_generators,
     validate_complex,
 )
+from binomext.cli import parse_document, run
 from conftest import random_dtree_extension
 
 
@@ -241,6 +243,81 @@ def test_cycle_of_facets_has_no_peel_order() -> None:
         [["a", "b", "c"], ["b", "c", "d"], ["d", "e", "f"], ["a", "e", "f"]]
     )
     assert quasi_tree_order(sc.facets) is None
+
+
+def _backtracking_leaf_order(facets) -> list[int] | None:
+    """Reference leaf order: backtracking over which leaf to remove, with a
+    memo of the remaining sets that admit no order. Exponential when no
+    order exists, so only for small facet sets."""
+    facets = list(facets)
+    dead: set[frozenset[int]] = set()
+
+    def peel(remaining: frozenset[int]) -> list[int] | None:
+        if len(remaining) == 1:
+            return [next(iter(remaining))]
+        if remaining in dead:
+            return None
+        for i in sorted(remaining):
+            rest = remaining - {i}
+            boundary = facets[i] & frozenset().union(*(facets[j] for j in rest))
+            if any(boundary <= facets[j] for j in sorted(rest)):
+                tail = peel(rest)
+                if tail is not None:
+                    return tail + [i]
+        dead.add(remaining)
+        return None
+
+    return peel(frozenset(range(len(facets)))) if facets else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_greedy_leaf_order_matches_backtracking(seed: int) -> None:
+    # removing a leaf never destroys a leaf order of the rest, so the greedy
+    # peel finds the same order as the search, and fails exactly when it does
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    names = [f"v{i}" for i in range(n)]
+    raw = [rng.sample(names, rng.randint(1, min(4, n))) for _ in range(rng.randint(1, 8))]
+    g = graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+    for facets in (validate_complex(raw).facets, maximal_cliques(g)):
+        assert quasi_tree_order(facets) == _backtracking_leaf_order(facets)
+
+
+def two_tree_less_one_triangle(ntriangles: int, seed: int) -> dict:
+    """A random 2-tree of ntriangles triangles with one triangle removed
+    that has exactly one edge no other triangle covers; that edge stays as
+    a facet. The skeleton is still a 2-tree, but the facets are no clique
+    complex, so they have no leaf order."""
+    rng = random.Random(seed)
+    triangles = [(0, 1, 2)]
+    while len(triangles) < ntriangles:
+        a, b = sorted(rng.sample(rng.choice(triangles), 2))
+        triangles.append((a, b, len(triangles) + 2))
+    candidates = []
+    for k, t in enumerate(triangles):
+        others = triangles[:k] + triangles[k + 1 :]
+        bare = [e for e in combinations(t, 2) if not any(set(e) <= set(u) for u in others)]
+        if len(bare) == 1:
+            candidates.append((k, bare[0]))
+    k, edge = rng.choice(candidates)
+    facets = triangles[:k] + triangles[k + 1 :] + [edge]
+    return {"facets": [[f"v{v}" for v in f] for f in facets]}
+
+
+def test_a_dtree_skeleton_without_a_leaf_order_is_rejected_quickly() -> None:
+    # a search that backtracks over which leaf to remove visits every
+    # peelable subset of these 26 facets (over a minute); the greedy peel
+    # stops at the first set without a leaf
+    doc = two_tree_less_one_triangle(26, seed=0)
+    sc = validate_complex(doc["facets"])
+    assert len(sc.facets) == 26
+    assert is_generalized_d_tree(skeleton_graph(sc), 2).verdict
+    started = time.perf_counter()
+    assert quasi_tree_order(sc.facets) is None
+    report = run("color", parse_document(doc))
+    assert time.perf_counter() - started < 1.0
+    assert report["coloration"]["method"] == "search"
 
 
 # ---------------------------------------------------------------------------

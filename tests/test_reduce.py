@@ -24,6 +24,7 @@ from binomext import (
     FacetExtension,
     RationalField,
     ReductionVectors,
+    RewriterDiverged,
     WrongCount,
     binomial_extension_ideal,
     buchberger,
@@ -101,6 +102,17 @@ def test_rewrite_later_point_times_last_endpoint(greduit) -> None:
     y, d, c, z = (vid(greduit, n) for n in "ydcz")
     expected_minor = pair_poly(ring, y, d).sub(pair_poly(ring, c, z))
     assert trace.steps[0].minor in (expected_minor, expected_minor.neg())
+
+
+def test_a_rewriter_that_never_reaches_a_family_stops_at_its_bound(greduit, monkeypatch) -> None:
+    # a slide that goes nowhere would loop for ever; the bound stops it with
+    # a typed error instead of an assert that python -O strips
+    monkeypatch.setattr(reduce_module, "_family", lambda m, p, q: None)
+    monkeypatch.setattr(reduce_module, "_slide", lambda m, p, q: (p, q, 0, 1))
+    m = scroll_matrix(greduit.ext, 0)
+    bound = sum(len(b.run) for b in m.blocks) ** 2
+    with pytest.raises(RewriterDiverged, match=f"^no canonical family after {bound} slides$"):
+        modB_normal_pair(m, vid(greduit, "x"), vid(greduit, "c"), greduit.ring)
 
 
 def test_rewrite_rejects_two_endpoints(greduit) -> None:
