@@ -16,7 +16,7 @@ from .complexes import (
     skeleton_graph,
 )
 from .extension import ExtensionComplex, reduced_graph
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, memoized
 
 
 class UncoloredVertex(ValueError):
@@ -371,11 +371,20 @@ def find_coloration(
 
     A skeleton can pass the d-tree criterion while its facets admit no leaf
     order (a ring of three triangles), so the search is the fallback for both.
+    The d-tree attempt is made once per run scope, so the `reduce` fallback
+    that asks again after the theorem failed reuses it.
     """
+    col = memoized(("dtree_coloration", ext), lambda: _dtree_attempt(ext))
+    if col is not None:
+        return col, "dtree"
+    return search_binomial_coloration(ext, require_good=require_good), "search"
+
+
+def _dtree_attempt(ext: ExtensionComplex) -> Coloration | None:
     try:
-        return dtree_coloration(ext), "dtree"
+        return dtree_coloration(ext)
     except NotADTree:
-        return search_binomial_coloration(ext, require_good=require_good), "search"
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,7 @@ def validate_complex(raw_facets, vertex_order=None) -> SimplicialComplex:
         if f not in kept:
             kept.append(f)
     vertices = tuple(Vertex(i, n) for n, i in sorted(ids.items(), key=lambda kv: kv[1]))
-    sc = SimplicialComplex(vertices, tuple(kept))
-    assert all(
-        not (a < b or b < a) for a, b in combinations(sc.facets, 2)
-    ), "facets must be inclusion-maximal"
-    assert {v for f in sc.facets for v in f} == set(range(len(vertices)))
-    return sc
+    return SimplicialComplex(vertices, tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +103,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def without(self, vid: int) -> "Graph":
-        return Graph(
-            self.vertex_ids - {vid},
-            frozenset(e for e in self.edges if vid not in e),
-        )
 
 
 def graph(vertex_ids, edge_pairs) -> Graph:
@@ -277,7 +266,6 @@ def is_generalized_d_tree(g: Graph, d: int) -> DTreeVerdict:
         for w in adj.pop(pick):
             adj[w].discard(pick)
     # clique number d+1 on d+1 vertices forces the complete graph
-    assert all(len(nb) == d for nb in adj.values())
     return DTreeVerdict(True, tuple(order), None)
 
 

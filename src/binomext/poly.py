@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, compress
-from math import comb
 
 
 class OrderMismatch(ValueError):
@@ -324,7 +323,6 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda mc: self.ring.order.key(mc[0]), reverse=True)
 
     def sort_key(self):
-        f = self.ring.field
         return tuple(
             (self.ring.order.key(m), str(c)) for m, c in self.sorted_terms()
         )
@@ -459,29 +457,20 @@ def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a.sub(b)
 
 
-def _interreduce(polys: list[Polynomial]) -> list[Polynomial]:
-    """Reduce to the unique reduced monic basis of the same leading-term ideal."""
-    work = [p.monic() for p in polys if not p.is_zero()]
-    # drop redundant leading terms (keep the smaller polynomial on ties)
-    work.sort(key=lambda p: p.sort_key())
-    minimal: list[Polynomial] = []
-    for p in work:
-        if not any(mono_divides(q.lm(), p.lm()) for q in minimal):
-            minimal = [q for q in minimal if not mono_divides(p.lm(), q.lm())]
-            minimal.append(p)
-    # tail-reduce to fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1 :]
-            r = normal_form(p, rest).monic()
-            if r != p:
-                assert not r.is_zero(), "leading terms were minimal"
-                minimal[i] = r
-                changed = True
-    minimal.sort(key=lambda p: p.ring.order.key(p.lm()), reverse=True)
-    return minimal
+def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
+    """The reduced basis of the ideal, largest leading monomial first.
+
+    Precondition: gb is a Groebner basis of monic polynomials (as
+    `buchberger` builds it). One pass in ascending leading-monomial order
+    drops each element whose leading monomial a kept one divides and reduces
+    the others by the kept ones: a tail term of p lies below lm(p), so only
+    an already kept (and already reduced) element can divide it.
+    """
+    kept: list[Polynomial] = []
+    for p in sorted(gb, key=lambda p: p.ring.order.key(p.lm())):
+        if not any(mono_divides(q.lm(), p.lm()) for q in kept):
+            kept.append(normal_form(p, kept))
+    return kept[::-1]
 
 
 def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[Polynomial]:
@@ -551,7 +540,9 @@ def groebner_basis(generators: list[Polynomial], ring: Ring) -> list[Polynomial]
 
 
 def groebner_equal(a: list[Polynomial], b: list[Polynomial]) -> bool:
-    return [p.sort_key() for p in a] == [p.sort_key() for p in b]
+    """Whether two reduced bases, each listed largest leading monomial first
+    (as `buchberger` and `ideal_intersection` return them), are equal."""
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -560,30 +551,31 @@ def groebner_equal(a: list[Polynomial], b: list[Polynomial]) -> bool:
 
 def _to_elim_ring(p: Polynomial, ext: Ring, side) -> Polynomial:
     """Embed p with a fresh first variable t; side scales by t or (1-t)."""
-    f = ext.field
-    terms = {}
-    for m, c in p.terms.items():
-        terms[(0,) + m] = c
-    q = Polynomial(ext, terms)
-    t = ext.var(0)
+    top = {(1,) + m: c for m, c in p.terms.items()}  # t * p
     if side == "t":
-        return q.mul(t)
-    return q.sub(q.mul(t))  # (1 - t) * p
+        return Polynomial(ext, top)
+    neg = ext.field.neg
+    bottom = {(0,) + m: c for m, c in p.terms.items()}
+    return Polynomial(ext, bottom | {m: neg(c) for m, c in top.items()})  # (1 - t) * p
 
 
 def ideal_intersection(
     i_gens: list[Polynomial], j_gens: list[Polynomial], ring: Ring
 ) -> list[Polynomial]:
-    """Reduced basis of I cap J via elimination of t from t*I + (1-t)*J."""
+    """Reduced basis of I cap J via elimination of t from t*I + (1-t)*J.
+
+    The t-free elements of the reduced elimination basis are the reduced
+    basis of I cap J, already in descending order (Cox, Little & O'Shea,
+    Ideals, Varieties, and Algorithms, 2.7 and 3.1).
+    """
     ext = Ring(("@t",) + ring.names, ring.field, MonomialOrder("elim", ring.order.kind))
     gens = [_to_elim_ring(p, ext, "t") for p in i_gens]
     gens += [_to_elim_ring(p, ext, "1-t") for p in j_gens]
-    gb = groebner_basis(gens, ext)
-    kept = []
-    for p in gb:
-        if all(m[0] == 0 for m in p.terms):
-            kept.append(Polynomial(ring, {m[1:]: c for m, c in p.terms.items()}))
-    return _interreduce(kept)
+    return [
+        Polynomial(ring, {m[1:]: c for m, c in p.terms.items()})
+        for p in groebner_basis(gens, ext)
+        if all(m[0] == 0 for m in p.terms)
+    ]
 
 
 def ideal_intersection_many(gen_lists: list[list[Polynomial]], ring: Ring) -> list[Polynomial]:
@@ -742,7 +734,6 @@ def monomials_of_degree(nvars: int, degree: int) -> list[tuple]:
         for v in combo:
             exps[v] += 1
         out.append(tuple(exps))
-    assert len(out) == comb(nvars + degree - 1, degree)
     return out
 
 

@@ -79,14 +79,6 @@ class ContainmentFailed(RuntimeError):
 # ---------------------------------------------------------------------------
 # rewriter
 
-_FAMILY_NAMES = {
-    1: "x0*x1",
-    2: "x_m*y (m <= block of y)",
-    3: "y*y_first",
-    4: "x0*y_block1",
-    5: "x0*y_first",
-}
-
 
 @dataclass(frozen=True)
 class RewriteStep:
@@ -100,10 +92,6 @@ class RewriteTrace:
     steps: tuple[RewriteStep, ...]
     final: tuple[int, int]
     family: int
-
-    @property
-    def family_name(self) -> str:
-        return _FAMILY_NAMES[self.family]
 
 
 def _positions(m: ScrollMatrix) -> dict[int, tuple[int, int]]:

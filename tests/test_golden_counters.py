@@ -36,29 +36,29 @@ GOLDEN = {
     ("reduce", "greduit"): {"normal_forms": 48, "rank_rows": 34, "s_pairs": 60},
     ("oracle", "greduit"): {"normal_forms": 97, "rank_rows": 34, "s_pairs": 60},
     ("decompose", "greduit1"): {
-        "normal_forms": 942, "s_pairs": 2634, "groebner_size": 36, "intersection_size": 36
+        "normal_forms": 871, "s_pairs": 2634, "groebner_size": 36, "intersection_size": 36
     },
     ("hilbert", "greduit1"): {"normal_forms": 303, "s_pairs": 742},
-    ("reduce", "greduit1"): {"normal_forms": 524, "rank_rows": 37, "s_pairs": 1371},
-    ("oracle", "greduit1"): {"normal_forms": 1505, "rank_rows": 37, "s_pairs": 3459},
+    ("reduce", "greduit1"): {"normal_forms": 485, "rank_rows": 37, "s_pairs": 1371},
+    ("oracle", "greduit1"): {"normal_forms": 1395, "rank_rows": 37, "s_pairs": 3459},
     ("decompose", "cycles_pair"): {
-        "normal_forms": 69, "s_pairs": 73, "groebner_size": 6, "intersection_size": 6
+        "normal_forms": 63, "s_pairs": 73, "groebner_size": 6, "intersection_size": 6
     },
     ("hilbert", "cycles_pair"): {"normal_forms": 32, "s_pairs": 21},
-    ("reduce", "cycles_pair"): {"normal_forms": 55, "rank_rows": 20, "s_pairs": 51},
-    ("oracle", "cycles_pair"): {"normal_forms": 153, "rank_rows": 20, "s_pairs": 112},
+    ("reduce", "cycles_pair"): {"normal_forms": 46, "rank_rows": 20, "s_pairs": 51},
+    ("oracle", "cycles_pair"): {"normal_forms": 138, "rank_rows": 20, "s_pairs": 112},
     ("decompose", "cycles_full"): {
-        "normal_forms": 866, "s_pairs": 2147, "groebner_size": 27, "intersection_size": 27
+        "normal_forms": 793, "s_pairs": 2147, "groebner_size": 27, "intersection_size": 27
     },
     ("hilbert", "cycles_full"): {"normal_forms": 222, "s_pairs": 449},
     ("reduce", "cycles_full"): {"normal_forms": 323, "rank_rows": 168, "s_pairs": 786},
-    ("oracle", "cycles_full"): {"normal_forms": 1490, "rank_rows": 168, "s_pairs": 2658},
+    ("oracle", "cycles_full"): {"normal_forms": 1417, "rank_rows": 168, "s_pairs": 2658},
     ("decompose", "strip3"): {
-        "normal_forms": 261, "s_pairs": 437, "groebner_size": 15, "intersection_size": 15
+        "normal_forms": 238, "s_pairs": 437, "groebner_size": 15, "intersection_size": 15
     },
     ("hilbert", "strip3"): {"normal_forms": 100, "s_pairs": 135},
     ("reduce", "strip3"): {"normal_forms": 146, "rank_rows": 27, "s_pairs": 258},
-    ("oracle", "strip3"): {"normal_forms": 450, "rank_rows": 27, "s_pairs": 610},
+    ("oracle", "strip3"): {"normal_forms": 427, "rank_rows": 27, "s_pairs": 610},
 }
 
 

@@ -85,25 +85,25 @@ GOLDEN = {
     ("ideal", "dtree-3-32"): "aa9a3adfaefeb8bb9eca05109bdd38508577c93321253b57af1431a7aa70c6a6",
     ("color", "dtree-3-32"): "b52b3d828834a927f8f18aec8f5c96f20864620753a15219b0a64a977b6e79eb",
     ("decompose", "greduit"): "9b313b9c4616bbdab468cc8e13472914f4a9ed2fc12680cfd8b9ec88adf99963",
-    ("decompose", "greduit1"): "8bb5b51580eacb78ef79c1b6f82eea6015e02287f08276e6d45a45ae16e54d48",
-    ("decompose", "cycles_pair"): "ef49e3c5a94b3b5c277237aec000375377827a9f36ecf678de4c85730287e271",
-    ("decompose", "cycles_full"): "e26960a3c66bdf897fe04b0e1d9a6662dfbcbcda387903354afeaf4bff0e39b6",
-    ("decompose", "strip3"): "56b9197fe13c8769dbec474d1d1e3c364b9ca5ec925c80868c7626e9930d123d",
+    ("decompose", "greduit1"): "5ed149049d0b916b21b0da42fce85ccdebcb14376e152e57ffc569a8e81049a8",
+    ("decompose", "cycles_pair"): "d46c378362e747a556d5fa1244fbdb9fb9d7f7c5f807e96eada989fd44c0adc1",
+    ("decompose", "cycles_full"): "a71a65bd0cc306fcedbc821e12b24bc0248a2bcf5ff017912e7c0798ca683e94",
+    ("decompose", "strip3"): "6e503363eacea21ed398fffbc0ce6aaf7fe15c646d9d1fbdf9e4b429f0aa582c",
     ("hilbert", "greduit"): "bd921cd55a6b18795b2538c710558fde544ee8288c2b243d79086e7f4707a881",
     ("hilbert", "greduit1"): "20ddee125847c17a446e6b2a761c3a8daf3ce1ffdb06eab6772059a72844f203",
     ("hilbert", "cycles_pair"): "6b7bd36d7febf961301999a32945b4e65e887eb154bdb6959218a7a59c5b6347",
     ("hilbert", "cycles_full"): "610aa28b2e26c0c6e98e765b3a5c51f800fb60bb1cf2a399f5b911e740bdb58e",
     ("hilbert", "strip3"): "ee6f5a4db5d881452efbf9c6742d625461a1ba06ead7c470689faf0a049495f8",
     ("reduce", "greduit"): "d8ae01867e2bc7e91ad5368eb46a298b3acbaa318523e64648638fc735c31114",
-    ("reduce", "greduit1"): "0a75f7e39cb07623faa814f896d96e26da205b0ca0c02f3b8ac5ef67ba649d60",
-    ("reduce", "cycles_pair"): "7f5a916fcf529a7462f9a8dd5150e712635af751ec3f7839145a7340b67b2524",
+    ("reduce", "greduit1"): "55851dc5f7bfb72c1ff280ad05caff562241ab8a3aabade71cdb1982c1b717fa",
+    ("reduce", "cycles_pair"): "73028d0509538d83bd5ed9ad45c7551c67e67c2aebc1b1f1511a1989dbf4fe09",
     ("reduce", "cycles_full"): "4b6e01f5fe7359c93c82bba2c2cd8796ec4b7d9b6c26766857318ebd2a54b0ee",
     ("reduce", "strip3"): "30b64ecdaf0a72f50f9c9c3a73748ef2c273f4166b46236d8bb1e25ab46fe3f1",
     ("oracle", "greduit"): "1413afaf924a94b91ca8588989c1af4e1fce46d6115bb57f32cf7082c5db82a7",
-    ("oracle", "greduit1"): "f82f6bcc04cd5026078feb2081ca8d4838eaed6022381ee7886484133e7387ed",
-    ("oracle", "cycles_pair"): "d39a223d3c5c70feef913aaf6526ec991ef708e75d5a0ab47f47d0de42c74273",
-    ("oracle", "cycles_full"): "d8d18b155aa1680110858f2a4cabb5c3e0997dd17356ea691c1c9bcd35dd2bce",
-    ("oracle", "strip3"): "6f3da5c679c6ad53d07ec5a061678ff09d6199893ee44f3e7147fe99545db5bb",
+    ("oracle", "greduit1"): "b65f907303004d30620d41893e29902f3144eb18fbaee0c154dac574197c8cb8",
+    ("oracle", "cycles_pair"): "833b102ab21c9b5ec7467cb98ad16879c71db3fca94826dfb1d1f5b4b9fde4f8",
+    ("oracle", "cycles_full"): "a629c694499ac11e21be59fdd39c266353a7fd4aff130dd3518f3d1dcc26e8ae",
+    ("oracle", "strip3"): "2ae6c689506dd848960d50d263dbee4eef688af73cf11800eeb5596504aa60ef",
 }
 
 

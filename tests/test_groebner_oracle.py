@@ -1,9 +1,12 @@
 """Reduced Groebner bases checked against an independent implementation.
 
 sympy's `groebner` is the oracle: for random monomial and binomial ideals in
-two to four variables, under each of the three orders and over GF(32003)
-and the rationals, `buchberger` must return the same reduced monic basis.
-sympy is a test-only dependency; the module is skipped without it.
+two to five variables, under each of the three orders and over GF(32003)
+and the rationals, `buchberger` must return the same reduced monic basis, and
+`ideal_intersection` (on pairs of homogeneous such ideals) the same basis of
+I cap J as sympy's own elimination of t. The one-pass `_interreduce` must
+turn any monic Groebner basis with redundant members back into the reduced
+basis. sympy is a test-only dependency; the module is skipped without it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomext.poly import MonomialOrder, PrimeField, RationalField, Ring, buchberger
+from binomext.poly import (
+    MonomialOrder,
+    PrimeField,
+    RationalField,
+    Ring,
+    _interreduce,
+    buchberger,
+    ideal_intersection,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -23,12 +34,13 @@ P = 32003
 
 
 @st.composite
-def ideals(draw):
+def ideals(draw, nvars=None, homogeneous=False):
     """(nvars, generators): each generator is a list of (exponents, coeff)
     with one term (a monomial) or two distinct terms (a binomial). Two thirds
     of the binomials are homogeneous, since only equal-degree terms tell
-    deglex and degrevlex apart."""
-    nvars = draw(st.integers(2, 4))
+    deglex and degrevlex apart; with homogeneous=True all of them are."""
+    if nvars is None:
+        nvars = draw(st.integers(2, 5))
     coeff = st.integers(-3, 3).filter(bool)
 
     def mono(degree: int) -> tuple:
@@ -38,7 +50,8 @@ def ideals(draw):
     gens = []
     for _ in range(draw(st.integers(1, 4))):
         a = mono(draw(st.integers(2, 3)))
-        shape = draw(st.sampled_from(["monomial", "homogeneous", "homogeneous", "binomial"]))
+        shapes = ["monomial", "homogeneous", "homogeneous"] + ["binomial"] * (not homogeneous)
+        shape = draw(st.sampled_from(shapes))
         if shape == "monomial":
             gens.append([(a, draw(coeff))])
             continue
@@ -54,25 +67,47 @@ def _monic(terms: dict, field) -> frozenset:
     return frozenset((m, field.mul(c, inv)) for m, c in terms.items())
 
 
-def ours(nvars: int, gens, field, order: str) -> set:
-    ring = Ring(tuple(f"x{i}" for i in range(nvars)), field, MonomialOrder(order))
+def _ring(nvars: int, field, order: str) -> Ring:
+    return Ring(tuple(f"x{i}" for i in range(nvars)), field, MonomialOrder(order))
+
+
+def _polys(ring: Ring, gens) -> list:
     polys = []
     for terms in gens:
         p = ring.zero()
         for m, c in terms:
             p = p.add(ring.monomial(m, c))
         polys.append(p)
-    basis = buchberger(polys, ring)
+    return polys
+
+
+def _as_set(basis, field) -> set:
     return {_monic(dict(p.sorted_terms()), field) for p in basis}
+
+
+def ours(nvars: int, gens, field, order: str) -> set:
+    ring = _ring(nvars, field, order)
+    return _as_set(buchberger(_polys(ring, gens), ring), field)
+
+
+def _sympy_kw(field) -> dict:
+    return {"modulus": P} if isinstance(field, PrimeField) else {"domain": "QQ"}
+
+
+def _exprs(xs, gens) -> list:
+    return [sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in terms) for terms in gens]
 
 
 def theirs(nvars: int, gens, field, order: str) -> set:
     xs = sympy.symbols(f"x0:{nvars}")
-    exprs = [
-        sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in terms) for terms in gens
-    ]
-    kw = {"modulus": P} if isinstance(field, PrimeField) else {"domain": "QQ"}
-    basis = sympy.groebner(exprs, *xs, order=SYMPY_ORDER[order], **kw)
+    return _from_sympy(
+        sympy.groebner(_exprs(xs, gens), *xs, order=SYMPY_ORDER[order], **_sympy_kw(field)),
+        field,
+        order,
+    )
+
+
+def _from_sympy(basis, field, order: str) -> set:
     out = set()
     for g in basis.polys:
         terms = {}
@@ -96,3 +131,51 @@ def test_reduced_basis_matches_sympy(ideal) -> None:
                 field.name,
                 order,
             )
+
+
+def theirs_intersection(nvars: int, i_gens, j_gens, field, order: str) -> set:
+    """I cap J by sympy alone: eliminate t from t*I + (1-t)*J under lex with
+    t first, then reduce the t-free part under the requested order."""
+    t, *xs = sympy.symbols(f"t x0:{nvars}")
+    exprs = [t * e for e in _exprs(xs, i_gens)] + [(1 - t) * e for e in _exprs(xs, j_gens)]
+    kw = _sympy_kw(field)
+    elim = sympy.groebner(exprs, t, *xs, order="lex", **kw)
+    free = [g.as_expr() for g in elim.polys if g.degree(t) <= 0]
+    return _from_sympy(sympy.groebner(free, *xs, order=SYMPY_ORDER[order], **kw), field, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_intersection_matches_sympy_elimination(data) -> None:
+    # the program intersects only homogeneous ideals (monomials and scroll
+    # minors); an inhomogeneous elimination under lex can run for minutes
+    nvars, i_gens = data.draw(ideals(homogeneous=True))
+    _, j_gens = data.draw(ideals(nvars=nvars, homogeneous=True))
+    for field in (PrimeField(P), RationalField()):
+        for order in SYMPY_ORDER:
+            ring = _ring(nvars, field, order)
+            got = ideal_intersection(_polys(ring, i_gens), _polys(ring, j_gens), ring)
+            assert _as_set(got, field) == theirs_intersection(
+                nvars, i_gens, j_gens, field, order
+            ), (field.name, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideal=ideals(), rng=st.randoms(use_true_random=False))
+def test_interreduce_restores_the_reduced_basis(ideal, rng) -> None:
+    nvars, gens = ideal
+    for field in (PrimeField(P), RationalField()):
+        for order in SYMPY_ORDER:
+            ring = _ring(nvars, field, order)
+            gb = buchberger(_polys(ring, gens), ring)
+            # monic members of the ideal whose leading terms a basis element
+            # divides, so gb plus them is a redundant Groebner basis
+            extra = [
+                rng.choice(gb).mul(ring.var(rng.randrange(nvars))).add(rng.choice(gb)).monic()
+                for _ in range(rng.randint(1, 4))
+            ]
+            work = gb + extra
+            rng.shuffle(work)
+            assert _interreduce(work) == gb, (field.name, order)
+            keys = [ring.order.key(p.lm()) for p in gb]
+            assert keys == sorted(keys, reverse=True)
