@@ -636,7 +636,8 @@ def run(command: str, doc: InputDocument, with_oracle: bool = False) -> dict:
     The run is one `poly.run_scope`: each Groebner basis and graded coverage
     is computed once, and `timing` counts that work.
     """
-    assert command in COMMANDS, command
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
     report: dict = {
         "command": command,
         "input": document_dict(doc),

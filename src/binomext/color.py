@@ -15,7 +15,7 @@ from .complexes import (
     quasi_tree_order,
     skeleton_graph,
 )
-from .extension import ExtensionComplex, reduced_graph
+from .extension import ExtensionComplex, facet_roles, reduced_graph
 from .poly import Polynomial, Ring, memoized
 
 
@@ -42,7 +42,8 @@ class Coloration:
 
     @staticmethod
     def from_map(num_classes: int, assignment: dict[int, int]) -> "Coloration":
-        assert all(0 <= c < num_classes for c in assignment.values())
+        if not all(0 <= c < num_classes for c in assignment.values()):
+            raise ValueError(f"a class index lies outside 0..{num_classes - 1}")
         return Coloration(num_classes, tuple(sorted(assignment.items())))
 
     @property
@@ -99,48 +100,18 @@ def is_good_coloration(g: Graph, col: Coloration) -> bool:
 # binomial-coloration conditions
 
 
-def _facet_pairs(ext: ExtensionComplex, l: int):
-    """Designated same-class pairs of facet l: the origin pair and each
-    middle first point with the next target. None for k=1 or zero matrix."""
-    fe = ext.extensions[l]
-    if ext.is_trivial(l) or len(fe.star.targets) < 2:
-        return None, []
-    targets = fe.star.targets
-    origin_pair = (fe.star.origin, targets[1])
-    chain = []
-    k = len(targets)
-    for j in range(1, k - 1):  # edges 2..k-1, 0-based
-        y = ext.first_point(l, j)
-        if y is not None:
-            chain.append((y, targets[j + 1]))
-    return origin_pair, chain
-
-
-def _last_point(ext: ExtensionComplex, l: int) -> int | None:
-    fe = ext.extensions[l]
-    if ext.is_trivial(l) or len(fe.star.targets) < 2:
-        return None
-    return ext.first_point(l, len(fe.star.targets) - 1)
-
-
 def colored_facet_members(ext: ExtensionComplex, l: int) -> frozenset[int]:
     """Reduced-graph vertices of the extended facet: its base vertices plus
     first points of edges 2..k."""
-    members = set(ext.base.facets[l])
-    fe = ext.extensions[l]
-    if fe is not None:
-        for j in range(1, len(fe.star.targets)):
-            y = ext.first_point(l, j)
-            if y is not None:
-                members.add(y)
-    return frozenset(members)
+    roles = facet_roles(ext, l)
+    return ext.base.facets[l] if roles is None else roles.members
 
 
 def is_binomial_coloration(
     ext: ExtensionComplex, col: Coloration
 ) -> tuple[bool, list[str]]:
-    """Checks the per-facet class-intersection conditions; returns the verdict
-    with one diagnostic per violated condition."""
+    """Checks that each facet member's class meets the facet in the member's
+    role pair, or in the member alone; one diagnostic per failing member."""
     bad: list[str] = []
     expected = reduced_graph(ext).vertex_ids
     if col.domain != expected:
@@ -152,43 +123,26 @@ def is_binomial_coloration(
     if col.num_classes > ext.base.dim + 1:
         bad.append(f"{col.num_classes} classes exceed {ext.base.dim + 1}")
         return False, bad
-    a = col.assignment
+    a, classes = col.assignment, col.classes
     for l in range(len(ext.base.facets)):
+        roles = facet_roles(ext, l)
         members = colored_facet_members(ext, l)
-        origin_pair, chain = _facet_pairs(ext, l)
-        last = _last_point(ext, l)
-        paired: set[int] = set()
-        if origin_pair is not None:
-            x0, x2 = origin_pair
-            got = col.members_in(a[x0], members)
-            if got != {x0, x2}:
+        # member -> (what its class must meet the facet in, its role)
+        want = {v: (frozenset({v}), "vertex") for v in members}
+        if roles is not None:
+            for i, (u, t) in enumerate(roles.pairs):
+                pair = frozenset({u, t})
+                want[u] = (pair, "chain point" if i else "origin")
+                want[t] = (pair, "vertex")
+            if roles.last is not None:
+                want[roles.last] = (frozenset({roles.last}), "last point")
+        for v in sorted(members):
+            must, role = want[v]
+            got = classes[a[v]] & members
+            if got != must:
                 bad.append(
-                    f"facet {l}: origin class meets facet in "
-                    f"{sorted(got)}, expected {sorted({x0, x2})}"
-                )
-            paired.update({x0, x2})
-        for y, nxt in chain:
-            got = col.members_in(a[y], members)
-            if got != {y, nxt}:
-                bad.append(
-                    f"facet {l}: chain point {y} class meets facet in "
-                    f"{sorted(got)}, expected {sorted({y, nxt})}"
-                )
-            paired.update({y, nxt})
-        if last is not None:
-            got = col.members_in(a[last], members)
-            if got != {last}:
-                bad.append(
-                    f"facet {l}: last point {last} class meets facet in "
-                    f"{sorted(got)}, expected singleton"
-                )
-            paired.add(last)
-        for v in sorted(members - paired):
-            got = col.members_in(a[v], members)
-            if got != {v}:
-                bad.append(
-                    f"facet {l}: vertex {v} class meets facet in "
-                    f"{sorted(got)}, expected singleton"
+                    f"facet {l}: {role} class of {v} meets facet in "
+                    f"{sorted(got)}, expected {sorted(must)}"
                 )
     return not bad, bad
 
@@ -235,10 +189,13 @@ def search_binomial_coloration(
         return v
 
     facet_members: list[frozenset[int]] = []
+    facet_pairs: list[frozenset[frozenset[int]]] = []
     for l in range(len(ext.base.facets)):
+        roles = facet_roles(ext, l)
+        pairs = roles.pairs if roles is not None else ()
         facet_members.append(colored_facet_members(ext, l))
-        origin_pair, chain = _facet_pairs(ext, l)
-        for u, v in ([origin_pair] if origin_pair else []) + chain:
+        facet_pairs.append(frozenset(frozenset(p) for p in pairs))
+        for u, v in pairs:
             parent[find(u)] = find(v)
 
     groups: dict[int, list[int]] = {}
@@ -247,13 +204,9 @@ def search_binomial_coloration(
     glist = list(groups.values())
     # a group may meet a facet only in a designated pair or a single vertex
     for g in glist:
-        for l, members in enumerate(facet_members):
+        for members, allowed in zip(facet_members, facet_pairs):
             inter = frozenset(g) & members
-            if len(inter) < 2:
-                continue
-            origin_pair, chain = _facet_pairs(ext, l)
-            allowed = [frozenset(p) for p in ([origin_pair] if origin_pair else []) + chain]
-            if inter not in allowed:
+            if len(inter) >= 2 and inter not in allowed:
                 return None
 
     deg = {v: 0 for v in verts}
@@ -330,11 +283,11 @@ def dtree_coloration(ext: ExtensionComplex) -> Coloration:
         raise ValidationFailed("no class left unused in facet")
 
     for l in order:
+        roles = facet_roles(ext, l)
         members = colored_facet_members(ext, l)
-        origin_pair, chain = _facet_pairs(ext, l)
-        last = _last_point(ext, l)
-        if origin_pair is not None:
-            x0, x2 = origin_pair
+        pairs = roles.pairs if roles is not None else ()
+        if pairs:
+            x0, x2 = pairs[0]
             if x0 in colors and x2 in colors:
                 if colors[x0] != colors[x2]:
                     raise ValidationFailed(
@@ -350,9 +303,10 @@ def dtree_coloration(ext: ExtensionComplex) -> Coloration:
         for v in sorted(base.facets[l]):
             if v not in colors:
                 colors[v] = lowest_free(members)
-        for y, nxt in chain:
+        for y, nxt in pairs[1:]:
             if y not in colors:
                 colors[y] = colors[nxt]
+        last = roles.last if roles is not None else None
         if last is not None and last not in colors:
             colors[last] = lowest_free(members)
 

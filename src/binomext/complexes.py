@@ -91,8 +91,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]  # pairs stored (min, max)
 
     def __post_init__(self) -> None:
-        assert all(u < v for u, v in self.edges)
-        assert all(u in self.vertex_ids and v in self.vertex_ids for u, v in self.edges)
+        if not all(u < v and u in self.vertex_ids and v in self.vertex_ids for u, v in self.edges):
+            raise ValueError("each edge must be a pair (u, v) of graph vertices with u < v")
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges

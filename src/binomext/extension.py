@@ -53,7 +53,10 @@ class FacetExtension:
     points: tuple[tuple[str, ...], ...]  # parallel to star.targets
 
     def __post_init__(self) -> None:
-        assert len(self.points) == len(self.star.targets)
+        if len(self.points) != len(self.star.targets):
+            raise ValueError(
+                f"{len(self.points)} point lists for {len(self.star.targets)} targets"
+            )
 
     @property
     def total_points(self) -> int:
@@ -85,13 +88,6 @@ class ExtensionComplex:
     def is_trivial(self, l: int) -> bool:
         fe = self.extensions[l]
         return fe is None or fe.total_points == 0
-
-    def first_point(self, l: int, j: int) -> int | None:
-        """Variable id of y_(j,1) for edge index j (0-based), if present."""
-        ids = self.point_ids[l]
-        if ids is None or not ids[j]:
-            return None
-        return ids[j][0]
 
     def origin_is_private(self, l: int) -> bool:
         """The origin lies in facet l only (interior vertex)."""
@@ -171,7 +167,8 @@ class ScrollBlock:
     run: tuple[int, ...]  # consecutive pairs are the block's columns
 
     def __post_init__(self) -> None:
-        assert len(self.run) >= 2 and len(set(self.run)) == len(self.run)
+        if len(self.run) < 2 or len(set(self.run)) != len(self.run):
+            raise ValueError(f"a block needs at least two distinct variables, got {self.run}")
 
     @property
     def columns(self) -> list[tuple[int, int]]:
@@ -212,7 +209,8 @@ def _pair_monomial(ring: Ring, i: int, j: int) -> Polynomial:
 
 def column_minor(m: ScrollMatrix, ring: Ring, c1: int, c2: int) -> Polynomial:
     """2x2 determinant of columns c1 < c2: top1*bot2 - bot1*top2."""
-    assert c1 < c2
+    if not c1 < c2:
+        raise ValueError(f"columns must be given in increasing order, got {c1}, {c2}")
     cols = m.columns
     (t1, b1), (t2, b2) = cols[c1], cols[c2]
     return _pair_monomial(ring, t1, b2).sub(_pair_monomial(ring, b1, t2))
@@ -274,11 +272,50 @@ def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresenta
 
 
 # ---------------------------------------------------------------------------
+# coloration roles
+
+
+@dataclass(frozen=True)
+class FacetRoles:
+    """Who plays which part in the star of one extended facet; the reduced
+    graph and the binomial-coloration conditions read only these."""
+
+    origin: int
+    targets: tuple[int, ...]
+    firsts: tuple[int | None, ...]  # y_2..y_k; None for an edge without points
+    members: frozenset[int]  # the facet's base vertices plus every y_j
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Same-class pairs: (x0, t_2), then (y_j, t_(j+1)) for 2 <= j < k
+        where y_j exists. Empty when k < 2."""
+        if len(self.targets) < 2:
+            return ()
+        chain = [(y, t) for y, t in zip(self.firsts, self.targets[2:]) if y is not None]
+        return ((self.origin, self.targets[1]), *chain)
+
+    @property
+    def last(self) -> int | None:
+        """y_k, alone in its class among the members; None when k < 2."""
+        return self.firsts[-1] if self.firsts else None
+
+
+def facet_roles(ext: ExtensionComplex, l: int) -> FacetRoles | None:
+    """The star roles of facet l, or None when it carries no point."""
+    if ext.is_trivial(l):
+        return None
+    fe, ids = ext.extensions[l], ext.point_ids[l]
+    firsts = tuple(edge[0] if edge else None for edge in ids[1:])
+    members = ext.base.facets[l].union(y for y in firsts if y is not None)
+    return FacetRoles(fe.star.origin, fe.star.targets, firsts, members)
+
+
+# ---------------------------------------------------------------------------
 # reduced graph
 
 
 def reduced_graph(ext: ExtensionComplex) -> Graph:
-    """Base skeleton with, per nontrivial facet with targets t_1..t_k: edges
+    """Base skeleton with, per facet with roles and targets t_1..t_k: edges
     (origin, t_j) dropped for j >= 2, and the first point of each such edge
     joined to the origin and to t_2."""
     base_edges = set(skeleton_graph(ext.base).edges)
@@ -286,20 +323,16 @@ def reduced_graph(ext: ExtensionComplex) -> Graph:
     added: set[tuple[int, int]] = set()
     dropped: set[tuple[int, int]] = set()
     for l in range(len(ext.base.facets)):
-        if ext.is_trivial(l):
+        roles = facet_roles(ext, l)
+        if roles is None:
             continue
-        fe = ext.extensions[l]
-        assert fe is not None
-        o = fe.star.origin
-        targets = fe.star.targets
-        for j in range(1, len(targets)):
-            t = targets[j]
+        o = roles.origin
+        for t, y in zip(roles.targets[1:], roles.firsts):
             dropped.add((min(o, t), max(o, t)))
-            y = ext.first_point(l, j)
             if y is not None:
                 vertices.add(y)
                 added.add((min(o, y), max(o, y)))
-                t2 = targets[1]
+                t2 = roles.targets[1]
                 added.add((min(t2, y), max(t2, y)))
     edges = (base_edges - dropped) | added
     return graph(vertices, edges)

@@ -193,7 +193,8 @@ class MonomialOrder:
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "deglex", "degrevlex", "elim"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-        assert self.inner in _ORDER_KEYS
+        if self.inner not in _ORDER_KEYS:
+            raise ValueError(f"unknown inner monomial order {self.inner!r}")
 
     def key(self, m: tuple):
         if self.kind == "elim":
@@ -222,7 +223,8 @@ class Ring:
         return Polynomial(self, {(0,) * self.nvars: self.field.one})
 
     def monomial(self, exps: tuple, coeff=1) -> "Polynomial":
-        assert len(exps) == self.nvars
+        if len(exps) != self.nvars:
+            raise ValueError(f"{len(exps)} exponents for {self.nvars} variables")
         c = self.field.of(coeff)
         return Polynomial(self, {} if self.field.is_zero(c) else {tuple(exps): c})
 
@@ -263,7 +265,8 @@ class Polynomial:
     def lt(self) -> tuple:
         """(monomial, coefficient) of the leading term."""
         if self._lt is None:
-            assert self.terms, "zero polynomial has no leading term"
+            if not self.terms:
+                raise ValueError("the zero polynomial has no leading term")
             m = max(self.terms, key=self.ring.order.key)
             self._lt = (m, self.terms[m])
         return self._lt
@@ -483,7 +486,8 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     """
     gens = [g for g in generators if not g.is_zero()]
     if ring is None:
-        assert gens, "empty generator list needs an explicit ring"
+        if not gens:
+            raise ValueError("an empty generator list needs an explicit ring")
         ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
@@ -579,7 +583,8 @@ def ideal_intersection(
 
 
 def ideal_intersection_many(gen_lists: list[list[Polynomial]], ring: Ring) -> list[Polynomial]:
-    assert gen_lists, "need at least one ideal"
+    if not gen_lists:
+        raise ValueError("need at least one ideal")
     acc = groebner_basis(gen_lists[0], ring)
     for gens in gen_lists[1:]:
         acc = ideal_intersection(acc, gens, ring)
@@ -675,7 +680,6 @@ def hilbert_data(gb: list[Polynomial], ring: Ring) -> HilbertData:
         for c in q[:-1]:
             acc += c
             out.append(acc)
-        assert acc + q[-1] == 0, "not divisible by (1 - t)"
         q = out or [0]
         codim += 1
     degree = sum(q)

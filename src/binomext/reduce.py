@@ -22,6 +22,7 @@ from .extension import (
     ScrollMatrix,
     binomial_extension_ideal,
     column_minor,
+    facet_roles,
     scroll_matrix,
 )
 from .poly import (
@@ -98,7 +99,8 @@ def _positions(m: ScrollMatrix) -> dict[int, tuple[int, int]]:
     pos: dict[int, tuple[int, int]] = {}
     for b, block in enumerate(m.blocks):
         for i, v in enumerate(block.run):
-            assert v not in pos, "runs share a variable"
+            if v in pos:
+                raise ValueError(f"variable {v} lies in two runs of the matrix")
             pos[v] = (b, i)
     return pos
 
@@ -214,7 +216,8 @@ def _compute_graded_coverage(
     mono_gens = []
     binom_gens = []
     for g in b.generators:
-        assert len({sum(m) for m in g.terms}) == 1, "generators must be homogeneous"
+        if len({sum(m) for m in g.terms}) != 1:
+            raise ValueError(f"generator {g} is not homogeneous")
         (mono_gens if len(g.terms) == 1 else binom_gens).append(g)
     low_monos = [g.lm() for g in mono_gens if g.degree() <= deg]
     struck = {m for m in cols if any(mono_divides(g, m) for g in low_monos)}
@@ -254,7 +257,8 @@ def degree_containment(
 ) -> tuple[bool, list[str]]:
     """Exact verdict for m^(rho+1) contained in G*m^rho + B, with the
     uncovered degree-(rho+1) monomials as witnesses on failure."""
-    assert rho >= 1
+    if rho < 1:
+        raise ValueError(f"rho must be at least 1, got {rho}")
     cols, covered = _graded_coverage(vectors, b, rho)
     missing = [m for m in cols if m not in covered]
     return not missing, [b.ring.mono_str(m) for m in missing]
@@ -266,7 +270,8 @@ def monomial_covered(
     """Membership of a single degree-d monomial in (G*m + B) at its degree;
     a set lookup once the run holds that degree's coverage."""
     deg = sum(mono)
-    assert deg >= 2
+    if deg < 2:
+        raise ValueError(f"monomial of degree {deg}; the span starts in degree 2")
     _, covered = _graded_coverage(vectors, b, deg - 1)
     return mono in covered
 
@@ -354,31 +359,29 @@ def _facet_condition(
     """Per-facet hypothesis: facets without a matrix or with one edge pass;
     otherwise the origin is private, or every product origin*first-point of
     a later edge must already lie in the degree-2 span."""
-    if ext.is_trivial(l):
+    roles = facet_roles(ext, l)
+    if roles is None:
         return FacetCondition(l, "trivial")
-    fe = ext.extensions[l]
-    assert fe is not None
-    if len(fe.star.targets) < 2:
+    if len(roles.targets) < 2:
         return FacetCondition(l, "single-edge")
     if ext.origin_is_private(l):
         return FacetCondition(l, "private-origin")
     mtx = scroll_matrix(ext, l)
+    x0 = roles.origin
     details = []
-    for j in range(1, len(fe.star.targets)):
-        y = ext.first_point(l, j)
+    for y in roles.firsts:
         if y is None:
             continue
         e = [0] * ring.nvars
-        e[fe.star.origin] += 1
+        e[x0] += 1
         e[y] += 1
         if not monomial_covered(vectors, b, tuple(e)):
             raise HypothesisFailed(
-                f"facet {l}: {ring.names[fe.star.origin]}*{ring.names[y]} "
-                f"not in the degree-2 span"
+                f"facet {l}: {ring.names[x0]}*{ring.names[y]} not in the degree-2 span"
             )
-        trace = modB_normal_pair(mtx, fe.star.origin, y, ring)
+        trace = modB_normal_pair(mtx, x0, y, ring)
         details.append(
-            f"{ring.names[fe.star.origin]}*{ring.names[y]}: "
+            f"{ring.names[x0]}*{ring.names[y]}: "
             f"{len(trace.steps)} steps to family {trace.family}"
         )
     return FacetCondition(l, "degree-2-span", tuple(details))

@@ -569,7 +569,7 @@ def test_field_override_changes_the_model() -> None:
 
 def test_run_rejects_unknown_command() -> None:
     doc = parse_document({"facets": [["a", "b"]]})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="unknown command"):
         run("explode", doc)
 
 

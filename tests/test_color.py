@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomext import (
     Coloration,
@@ -17,14 +19,18 @@ from binomext import (
     coloration_valid,
     colored_facet_members,
     dtree_coloration,
+    facet_roles,
+    find_coloration,
     g_prime_graph,
     graph,
     is_binomial_coloration,
     is_good_coloration,
     is_proper_coloration,
+    reduced_graph,
     reduction_vectors,
     search_binomial_coloration,
 )
+from conftest import random_dtree_extension, random_scroll_extension, random_small_extension
 
 
 def class_names(model, col: Coloration) -> set[frozenset[str]]:
@@ -50,6 +56,11 @@ def test_coloration_round_trip_and_queries() -> None:
     assert col.domain == frozenset({0, 1, 2, 5})
     assert col.classes == (frozenset({0, 2}), frozenset({5}), frozenset({1}))
     assert col.members_in(0, {0, 1, 5}) == frozenset({0})
+
+
+def test_class_indices_must_lie_below_the_class_count() -> None:
+    with pytest.raises(ValueError, match="outside 0..1"):
+        Coloration.from_map(2, {0: 5})
 
 
 def test_coloration_pairs_are_sorted_and_hashable() -> None:
@@ -199,6 +210,116 @@ def test_colored_facet_members(greduit, cycles_pair) -> None:
     assert got0 == {"a", "b", "c", "y"}
     got1 = {names2[v] for v in colored_facet_members(cycles_pair.ext, 1)}
     assert got1 == {"b", "c", "d", "v"}
+
+
+# Reference derivations, independent of `facet_roles`: each role read
+# straight off the star and the point ids, and the verdict as four separate
+# condition blocks (origin pair, chain pairs, last point, other members).
+
+
+def _oracle_first_point(ext, l: int, j: int):
+    ids = ext.point_ids[l]
+    if ids is None or not ids[j]:
+        return None
+    return ids[j][0]
+
+
+def _oracle_facet_pairs(ext, l: int):
+    fe = ext.extensions[l]
+    if ext.is_trivial(l) or len(fe.star.targets) < 2:
+        return None, []
+    targets = fe.star.targets
+    origin_pair = (fe.star.origin, targets[1])
+    chain = []
+    for j in range(1, len(targets) - 1):
+        y = _oracle_first_point(ext, l, j)
+        if y is not None:
+            chain.append((y, targets[j + 1]))
+    return origin_pair, chain
+
+
+def _oracle_last_point(ext, l: int):
+    fe = ext.extensions[l]
+    if ext.is_trivial(l) or len(fe.star.targets) < 2:
+        return None
+    return _oracle_first_point(ext, l, len(fe.star.targets) - 1)
+
+
+def _oracle_members(ext, l: int) -> frozenset[int]:
+    members = set(ext.base.facets[l])
+    fe = ext.extensions[l]
+    if fe is not None:
+        for j in range(1, len(fe.star.targets)):
+            y = _oracle_first_point(ext, l, j)
+            if y is not None:
+                members.add(y)
+    return frozenset(members)
+
+
+def _oracle_failures(ext, col: Coloration) -> list:
+    """The four condition blocks, for a coloration of the reduced vertices
+    with at most d+1 classes."""
+    bad = []
+    a = col.assignment
+    for l in range(len(ext.base.facets)):
+        members = _oracle_members(ext, l)
+        origin_pair, chain = _oracle_facet_pairs(ext, l)
+        last = _oracle_last_point(ext, l)
+        paired: set[int] = set()
+        if origin_pair is not None:
+            x0, x2 = origin_pair
+            if col.members_in(a[x0], members) != {x0, x2}:
+                bad.append((l, "origin", x0))
+            paired.update({x0, x2})
+        for y, nxt in chain:
+            if col.members_in(a[y], members) != {y, nxt}:
+                bad.append((l, "chain point", y))
+            paired.update({y, nxt})
+        if last is not None:
+            if col.members_in(a[last], members) != {last}:
+                bad.append((l, "last point", last))
+            paired.add(last)
+        for v in sorted(members - paired):
+            if col.members_in(a[v], members) != {v}:
+                bad.append((l, "vertex", v))
+    return bad
+
+
+RANDOM_EXTENSIONS = (random_small_extension, random_dtree_extension, random_scroll_extension)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    make=st.sampled_from(RANDOM_EXTENSIONS),
+    seed=st.integers(0, 10_000),
+    rng=st.randoms(use_true_random=False),
+)
+def test_roles_and_verdict_match_the_per_reader_derivations(make, seed, rng) -> None:
+    ext = make(seed)
+    for l in range(len(ext.base.facets)):
+        roles = facet_roles(ext, l)
+        origin_pair, chain = _oracle_facet_pairs(ext, l)
+        expected_pairs = ([origin_pair] if origin_pair else []) + chain
+        assert list(roles.pairs if roles else ()) == expected_pairs, l
+        assert (roles.last if roles else None) == _oracle_last_point(ext, l), l
+        assert colored_facet_members(ext, l) == _oracle_members(ext, l), l
+        if roles is not None:
+            assert roles.members == _oracle_members(ext, l), l
+
+    d1 = ext.base.dim + 1
+    verts = sorted(reduced_graph(ext).vertex_ids)
+    cols = [Coloration.from_map(d1, {v: rng.randrange(d1) for v in verts}) for _ in range(4)]
+    found, _ = find_coloration(ext, require_good=False)
+    if found is not None:
+        # the valid choice, and a near miss: one vertex moved to another class
+        moved = found.assignment
+        v = rng.choice(verts)
+        moved[v] = (moved[v] + 1 + rng.randrange(d1 - 1)) % d1 if d1 > 1 else 0
+        cols += [found, Coloration.from_map(d1, moved)]
+    for col in cols:
+        ok, bad = is_binomial_coloration(ext, col)
+        assert ok == (not _oracle_failures(ext, col)), (col, bad)
+        assert ok == (not bad)
 
 
 def test_g_prime_of_the_tetrahedron_drops_the_same_edges(greduit) -> None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from binomext.complexes import (
     DuplicateVertexInFacet,
     EmptyFacet,
+    Graph,
     clique_complex,
     clique_number,
     facet_intersection_graph,
@@ -103,6 +104,12 @@ def test_graph_normalization_and_queries() -> None:
     g = graph([0, 1, 2], [(2, 1), (0, 1)])
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert g.adjacency()[1] == {0, 2}
+
+
+def test_graph_edges_must_be_ordered_pairs_of_its_vertices() -> None:
+    for edges in ({(1, 0)}, {(0, 2)}):
+        with pytest.raises(ValueError, match="u < v"):
+            Graph(frozenset({0, 1}), frozenset(edges))
 
 
 def test_connectivity() -> None:

@@ -19,11 +19,14 @@ from binomext import (
     OriginMismatch,
     ProperStar,
     PrimeField,
+    ScrollBlock,
     binomial_extension_ideal,
     build_extension_complex,
     buchberger,
+    column_minor,
     component_ideals,
     facet_minors,
+    facet_roles,
     groebner_equal,
     hilbert_data,
     ideal_intersection_many,
@@ -102,6 +105,11 @@ def test_construction_errors_survive_optimized_mode() -> None:
     assert out.stdout.split() == ["FacetOutOfRange", "FacetExtendedTwice"]
 
 
+def test_facet_extension_needs_one_point_list_per_target() -> None:
+    with pytest.raises(ValueError, match="1 point lists for 2 targets"):
+        FacetExtension(ProperStar(0, 0, (1, 2)), (("p",),))
+
+
 def test_point_names_must_be_fresh() -> None:
     base = validate_complex([["a", "b", "c"]])
     star = ProperStar(0, base.id_of("a"), (base.id_of("b"),))
@@ -150,6 +158,18 @@ def test_tetrahedron_minors_are_the_six_known_ones(greduit) -> None:
         product("y*d").sub(product("c*z")),
     ]
     assert minors == expected
+
+
+def test_scroll_block_needs_two_distinct_variables() -> None:
+    for run in ((1,), (1, 2, 1)):
+        with pytest.raises(ValueError, match="two distinct variables"):
+            ScrollBlock(run)
+
+
+def test_column_minor_needs_increasing_columns(greduit) -> None:
+    m = scroll_matrix(greduit.ext, 0)
+    with pytest.raises(ValueError, match="increasing order"):
+        column_minor(m, greduit.ring, 1, 0)
 
 
 def test_empty_first_edge_gives_a_single_origin_column(greduit1) -> None:
@@ -296,6 +316,44 @@ def test_sum_dimension_tracks_complex_dimension(cycles_pair) -> None:
     b = binomial_extension_ideal(ext, ring)
     gb = buchberger(list(b.generators), ring)
     assert hilbert_data(gb, ring).dimension == 1 + ext.base.dim
+
+
+# ---------------------------------------------------------------------------
+# coloration roles
+
+
+def test_roles_of_the_tetrahedron(greduit) -> None:
+    ext = greduit.ext
+    ids = {n: i for i, n in enumerate(ext.var_names)}
+    a, b, c, d, y, z = (ids[n] for n in "abcdyz")
+    roles = facet_roles(ext, 0)
+    assert (roles.origin, roles.targets, roles.firsts) == (a, (b, c, d), (y, z))
+    assert roles.members == {a, b, c, d, y, z}
+    assert roles.pairs == ((a, c), (y, d))
+    assert roles.last == z
+
+
+def test_roles_of_bare_edges_single_edges_and_pointless_facets() -> None:
+    base = validate_complex([["a", "b", "c", "d"], ["c", "d", "e"], ["d", "e", "f"]])
+    a, b, c, d, e, f = (base.id_of(n) for n in "abcdef")
+    ext = build_extension_complex(
+        base,
+        [
+            FacetExtension(ProperStar(0, a, (b, c, d)), (("p",), (), ("q",))),
+            FacetExtension(ProperStar(1, c, (e,)), (("r",),)),
+            FacetExtension(ProperStar(2, f, (d, e)), ((), ())),
+        ],
+    )
+    q = ext.var_names.index("q")
+    roles = facet_roles(ext, 0)
+    assert roles.firsts == (None, q)
+    assert roles.members == {a, b, c, d, q}
+    assert roles.pairs == ((a, c),)  # the bare edge to c gives no chain pair
+    assert roles.last == q
+    single = facet_roles(ext, 1)
+    assert (single.firsts, single.pairs, single.last) == ((), (), None)
+    assert single.members == base.facets[1]
+    assert facet_roles(ext, 2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ and the rationals, `buchberger` must return the same reduced monic basis, and
 `ideal_intersection` (on pairs of homogeneous such ideals) the same basis of
 I cap J as sympy's own elimination of t. The one-pass `_interreduce` must
 turn any monic Groebner basis with redundant members back into the reduced
-basis. sympy is a test-only dependency; the module is skipped without it.
+basis. `hilbert_data` must count, degree by degree, the monomials outside
+the leading ideal of sympy's basis. sympy is a test-only dependency; the
+module is skipped without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,9 @@ from binomext.poly import (
     Ring,
     _interreduce,
     buchberger,
+    hilbert_data,
     ideal_intersection,
+    krull_dimension_lt,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -179,3 +185,39 @@ def test_interreduce_restores_the_reduced_basis(ideal, rng) -> None:
             assert _interreduce(work) == gb, (field.name, order)
             keys = [ring.order.key(p.lm()) for p in gb]
             assert keys == sorted(keys, reverse=True)
+
+
+def _standard_count(nvars: int, leading: list, degree: int) -> int:
+    """Monomials of the degree that no leading monomial divides."""
+    count = 0
+    for combo in combinations_with_replacement(range(nvars), degree):
+        m = [combo.count(v) for v in range(nvars)]
+        count += not any(all(a <= b for a, b in zip(lm, m)) for lm in leading)
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal=ideals(homogeneous=True))
+def test_hilbert_series_counts_sympy_standard_monomials(ideal) -> None:
+    # for a homogeneous ideal, dim_k (R/I)_d is the number of degree-d
+    # monomials outside in(I), under any order (Macaulay)
+    nvars, gens = ideal
+    xs = sympy.symbols(f"x0:{nvars}")
+    for field in (PrimeField(P), RationalField()):
+        for order in SYMPY_ORDER:
+            ring = _ring(nvars, field, order)
+            gb = buchberger(_polys(ring, gens), ring)
+            data = hilbert_data(gb, ring)
+            basis = sympy.groebner(
+                _exprs(xs, gens), *xs, order=SYMPY_ORDER[order], **_sympy_kw(field)
+            )
+            leading = [g.monoms(order=SYMPY_ORDER[order])[0] for g in basis.polys]
+            for d in range(7):
+                # numerator / (1 - t)^n, coefficient of t^d
+                series = sum(
+                    c * comb(d - i + nvars - 1, nvars - 1)
+                    for i, c in enumerate(data.numerator)
+                    if i <= d
+                )
+                assert series == _standard_count(nvars, leading, d), (field.name, order, d)
+            assert data.dimension == krull_dimension_lt(gb, ring), (field.name, order)

@@ -28,6 +28,7 @@ from binomext.poly import (
     groebner_equal,
     hilbert_data,
     ideal_intersection,
+    ideal_intersection_many,
     ideal_membership,
     krull_dimension_lt,
     mono_div,
@@ -160,6 +161,21 @@ def test_unknown_order_rejected() -> None:
         MonomialOrder("grlex")
 
 
+def test_unknown_inner_order_rejected() -> None:
+    with pytest.raises(ValueError, match="inner"):
+        MonomialOrder("lex", "bogus")
+
+
+def test_monomial_needs_one_exponent_per_variable() -> None:
+    with pytest.raises(ValueError, match="1 exponents for 2 variables"):
+        ring("x y").monomial((1,))
+
+
+def test_zero_polynomial_has_no_leading_term() -> None:
+    with pytest.raises(ValueError, match="zero polynomial"):
+        ring("x y").zero().lt()
+
+
 def test_monomials_of_degree_count() -> None:
     for n, d in [(3, 2), (4, 3), (2, 5)]:
         ms = monomials_of_degree(n, d)
@@ -233,6 +249,13 @@ def test_printing_matches_a_sorted_rendering(order: str, rational: bool, terms) 
     r = ring("x y z", RationalField() if rational else None, order)
     p = poly_of(r, terms)
     assert str(p) == _reference_str(p)
+
+
+def test_empty_generator_lists_are_rejected() -> None:
+    with pytest.raises(ValueError, match="explicit ring"):
+        buchberger([])
+    with pytest.raises(ValueError, match="at least one ideal"):
+        ideal_intersection_many([], ring("x y"))
 
 
 def test_mixed_ring_operations_rejected() -> None:

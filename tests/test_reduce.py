@@ -22,9 +22,13 @@ from binomext import (
     PrimeField,
     ProperStar,
     FacetExtension,
+    IdealPresentation,
     RationalField,
     ReductionVectors,
     RewriterDiverged,
+    Ring,
+    ScrollBlock,
+    ScrollMatrix,
     WrongCount,
     binomial_extension_ideal,
     buchberger,
@@ -130,6 +134,13 @@ def test_rewrite_rejects_foreign_and_repeated_variables(cycles_pair) -> None:
         modB_normal_pair(m, vid(cycles_pair, "d"), vid(cycles_pair, "y"), ring)
     with pytest.raises(NotInMatrix):
         modB_normal_pair(m, vid(cycles_pair, "y"), vid(cycles_pair, "y"), ring)
+
+
+def test_rewrite_rejects_runs_that_share_a_variable() -> None:
+    ring = Ring(("a", "b", "c"), PrimeField())
+    m = ScrollMatrix(0, (ScrollBlock((0, 1)), ScrollBlock((1, 2))))
+    with pytest.raises(ValueError, match="two runs"):
+        modB_normal_pair(m, 0, 2, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +257,23 @@ def test_containment_matches_ideal_membership(cycles_pair) -> None:
     for mono in monomials_of_degree(ring.nvars, 2):
         member = normal_form(ring.monomial(mono), gb).is_zero()
         assert monomial_covered(vecs, b, mono) == member, ring.mono_str(mono)
+
+
+def test_containment_starts_in_degree_two(greduit) -> None:
+    b = binomial_extension_ideal(greduit.ext, greduit.ring)
+    vecs = reduction_vectors(dtree_coloration(greduit.ext), greduit.ring)
+    with pytest.raises(ValueError, match="at least 1"):
+        degree_containment(vecs, b, 0)
+    with pytest.raises(ValueError, match="degree 1"):
+        monomial_covered(vecs, b, (1,) + (0,) * (greduit.ring.nvars - 1))
+
+
+def test_containment_rejects_inhomogeneous_generators() -> None:
+    ring = Ring(("x", "y"), PrimeField())
+    b = IdealPresentation(ring, (ring.monomial((2, 0)).sub(ring.var(1)),))
+    vecs = ReductionVectors((ring.var(0),))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        degree_containment(vecs, b, 1)
 
 
 def test_reduction_number_one_on_the_tetrahedron(greduit) -> None:
