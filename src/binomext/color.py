@@ -113,7 +113,7 @@ def is_binomial_coloration(
     """Checks that each facet member's class meets the facet in the member's
     role pair, or in the member alone; one diagnostic per failing member."""
     bad: list[str] = []
-    expected = reduced_graph(ext).vertex_ids
+    expected = _run_reduced_graph(ext).vertex_ids
     if col.domain != expected:
         bad.append(
             f"domain mismatch: colored {sorted(col.domain)}, "
@@ -151,10 +151,15 @@ def is_binomial_coloration(
 # G' and full validity
 
 
+def _run_reduced_graph(ext: ExtensionComplex) -> Graph:
+    """reduced_graph(ext), built once per run scope."""
+    return memoized(("reduced_graph", ext), lambda: reduced_graph(ext))
+
+
 def g_prime_graph(ext: ExtensionComplex) -> Graph:
     """Reduced-graph edges that are also skeleton edges, on the base vertices."""
-    base = skeleton_graph(ext.base)
-    red = reduced_graph(ext)
+    base = memoized(("skeleton_graph", ext.base), lambda: skeleton_graph(ext.base))
+    red = _run_reduced_graph(ext)
     return Graph(frozenset(range(ext.n_base)), red.edges & base.edges)
 
 
@@ -176,7 +181,7 @@ def search_binomial_coloration(
     coloration that passes the binomial conditions, goodness on G' (unless
     disabled), and uses every class. Forced merges: origin and chain pairs."""
     d1 = ext.base.dim + 1
-    red = reduced_graph(ext)
+    red = _run_reduced_graph(ext)
     verts = sorted(red.vertex_ids)
     if len(verts) < d1:
         return None

@@ -201,10 +201,7 @@ def scroll_matrix(ext: ExtensionComplex, l: int) -> ScrollMatrix:
 
 
 def _pair_monomial(ring: Ring, i: int, j: int) -> Polynomial:
-    e = [0] * ring.nvars
-    e[i] += 1
-    e[j] += 1
-    return ring.monomial(tuple(e))
+    return Polynomial(ring, {ring.product((i, j)): ring.field.one})
 
 
 def column_minor(m: ScrollMatrix, ring: Ring, c1: int, c2: int) -> Polynomial:
@@ -262,12 +259,9 @@ def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresenta
         for p in facet_minors(ext, ring, l):
             if p not in gens:
                 gens.append(p)
-    zero, one = [0] * ring.nvars, ring.field.one
+    one = ring.field.one
     for nf in stanley_reisner_generators(ext.extended_complex()):
-        e = zero.copy()
-        for v in nf:
-            e[v] = 1
-        gens.append(Polynomial(ring, {tuple(e): one}))
+        gens.append(Polynomial(ring, {ring.product(nf): one}))
     return IdealPresentation(ring, tuple(gens), label="B")
 
 

@@ -1,7 +1,11 @@
 """Exact multivariate polynomial engine: prime-field/rational arithmetic,
 monomial orders, reduced Groebner bases, elimination, and Hilbert data.
 
-Monomials are exponent tuples over a fixed variable list owned by a Ring.
+Monomials are packed into one int each, in a layout that the Ring fixes
+from its order (see FIELD_BITS); exponent tuples are met only at the edges:
+`Ring.pack` and `Ring.monomial` take them, `Ring.exponents` returns them, and
+`monomials_of_degree`, the Hilbert numerator and `krull_dimension_lt` work on
+them.
 Every operation is deterministic: identical inputs give identical output,
 including generator order inside computed bases.
 """
@@ -12,7 +16,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement, compress
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
+from operator import or_
 
 
 class OrderMismatch(ValueError):
@@ -148,43 +154,30 @@ def field_by_name(spec) -> PrimeField | RationalField:
 # ---------------------------------------------------------------------------
 # monomials and orders
 
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: tuple, b: tuple) -> tuple | None:
-    q = tuple(x - y for x, y in zip(a, b))
-    return q if all(e >= 0 for e in q) else None
-
-
-def mono_divides(b: tuple, a: tuple) -> bool:
-    return all(y <= x for x, y in zip(a, b))
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+# A monomial is one int: each variable's exponent sits in a field of
+# FIELD_BITS bits whose top bit is a guard, and the total degree sits in a
+# field above them (Bachmann & Schoenemann, "Monomial representations for
+# Groebner bases computations", ISSAC 1998). Every valid monomial has every
+# guard clear, so the product is a + b and a field that a product crosses
+# shows up as a set guard.
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
+# 2**FIELD_BITS is 1 modulo _FIELD, so an exponent part taken modulo _FIELD
+# is the sum of its fields whenever that sum is below _FIELD
+_FIELD = (1 << FIELD_BITS) - 1
 
 
-def mono_deg(a: tuple) -> int:
-    return sum(a)
-
-
-# key function per base order kind; bigger key = bigger monomial
-_ORDER_KEYS = {
-    "lex": lambda m: m,
-    "deglex": lambda m: (sum(m), m),
-    "degrevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
-}
+class MonomialOverflow(ValueError):
+    """An exponent or a total degree exceeds MAX_EXPONENT."""
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total order on exponent tuples; bigger key = bigger monomial.
+    """A monomial order by name.
 
     kinds: lex, deglex, degrevlex, and elim (block order whose first
     variable dominates, with `inner` ordering the remaining variables;
-    internal to elimination).
+    internal to elimination). The ring lays its monomials out for its order.
     """
 
     kind: str = "degrevlex"
@@ -193,13 +186,8 @@ class MonomialOrder:
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "deglex", "degrevlex", "elim"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-        if self.inner not in _ORDER_KEYS:
+        if self.inner not in ("lex", "deglex", "degrevlex"):
             raise ValueError(f"unknown inner monomial order {self.inner!r}")
-
-    def key(self, m: tuple):
-        if self.kind == "elim":
-            return (m[0], _ORDER_KEYS[self.inner](m[1:]))
-        return _ORDER_KEYS[self.kind](m)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +196,65 @@ class MonomialOrder:
 
 @dataclass(frozen=True)
 class Ring:
+    """Variables, coefficient field and monomial order.
+
+    The ring packs its monomials (see FIELD_BITS) in a layout fixed by its
+    order: under lex and deglex variable 0 has the top variable field, under
+    degrevlex the last variable does, and the total degree sits above them.
+    An elim ring puts its first variable @t in a field above that layout,
+    outside the degree, so a monomial of the base ring is the same int in
+    the elim ring and t*m is m + (1 << shift).
+
+    `key(m)` orders monomials (bigger key = bigger monomial) and `degree(m)`
+    is the total degree; both are set from the layout.
+    """
+
     names: tuple[str, ...]
     field: PrimeField | RationalField
     order: MonomialOrder = MonomialOrder("degrevlex")
+
+    def __post_init__(self) -> None:
+        w, n = FIELD_BITS, len(self.names)
+        elim = self.order.kind == "elim"
+        if elim and not n:
+            raise ValueError("an elimination order needs its first variable")
+        inner = self.order.inner if elim else self.order.kind
+        nbase = n - elim
+        top = nbase * w  # the degree field
+        fields = range(nbase) if inner == "degrevlex" else range(nbase - 1, -1, -1)
+        shifts = [f * w for f in fields]
+        units = [(1 << s) | 1 << top for s in shifts]
+        if elim:
+            shifts.insert(0, top + w)
+            units.insert(0, 1 << top + w)  # outside the degree
+        nfields = nbase + 1 + elim
+        var_at = [None] * nfields  # the variable in each field
+        for v, s in enumerate(shifts):
+            var_at[s // w] = v
+        low = (1 << top) - 1
+        xmask = low | (_FIELD << top + w if elim else 0)
+        if inner == "lex":
+            key = xmask.__and__  # the exponents without the degree
+        elif inner == "deglex":
+            key = int  # the int itself
+        else:
+            key = low.__xor__  # larger exponents, lower key
+        layout = {
+            "key": key,
+            "degree": (lambda m: (m >> top) % _FIELD) if elim else top.__rrshift__,
+            "_shifts": tuple(shifts),
+            "_units": tuple(units),
+            # the top bit of every field: (2**(k*w) - 1) // _FIELD has a 1 at
+            # the bottom of each of k fields
+            "_guards": ((1 << nfields * w) - 1) // _FIELD << w - 1,
+            "_low": low,
+            "_xmask": xmask,
+            "_top": top,
+            "_nbase": nbase,
+            "_var_at": tuple(var_at),
+        }
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
     @property
     def nvars(self) -> int:
@@ -220,18 +264,58 @@ class Ring:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one})
+        return Polynomial(self, {0: self.field.one})
 
-    def monomial(self, exps: tuple, coeff=1) -> "Polynomial":
+    def pack(self, exps: tuple) -> int:
+        """The packed monomial of an exponent tuple."""
         if len(exps) != self.nvars:
             raise ValueError(f"{len(exps)} exponents for {self.nvars} variables")
+        if min(exps, default=0) < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
+        if max(exps, default=0) > MAX_EXPONENT:
+            raise MonomialOverflow(f"an exponent of {tuple(exps)} exceeds {MAX_EXPONENT}")
+        degree = sum(exps[self.nvars - self._nbase :])
+        if degree > MAX_EXPONENT:
+            raise MonomialOverflow(f"degree {degree} exceeds {MAX_EXPONENT}")
+        return sum(e << s for e, s in zip(exps, self._shifts)) + (degree << self._top)
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        return tuple((m >> s) & _FIELD for s in self._shifts)
+
+    def product(self, var_ids) -> int:
+        """The packed monomial x_v1 * x_v2 * ... of the listed variables;
+        a variable listed twice is squared."""
+        if len(var_ids) > MAX_EXPONENT:
+            raise MonomialOverflow(f"degree {len(var_ids)} exceeds {MAX_EXPONENT}")
+        return sum(map(self._units.__getitem__, var_ids))
+
+    def _check_guards(self, m: int) -> None:
+        if m & self._guards:
+            raise MonomialOverflow(f"a product exceeds exponent or degree {MAX_EXPONENT}")
+
+    def divides(self, b: int, a: int) -> bool:
+        """Whether b divides a; then a - b is the quotient."""
+        g = self._guards
+        return ((a | g) - b) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        g = self._guards
+        # per field, the guard survives a - b exactly where a >= b
+        sel = ((((a | g) - b) & g) >> FIELD_BITS - 1) * _FIELD
+        x = ((a & sel) | (b & ~sel)) & self._xmask
+        degree = (x & self._low) % _FIELD
+        if degree > MAX_EXPONENT:
+            raise MonomialOverflow(f"degree {degree} exceeds {MAX_EXPONENT}")
+        return x | degree << self._top
+
+    def monomial(self, exps: tuple, coeff=1) -> "Polynomial":
+        m = self.pack(exps)
         c = self.field.of(coeff)
-        return Polynomial(self, {} if self.field.is_zero(c) else {tuple(exps): c})
+        return Polynomial(self, {} if self.field.is_zero(c) else {m: c})
 
     def var(self, i: int) -> "Polynomial":
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return self.monomial(tuple(exps))
+        return Polynomial(self, {self._units[i]: self.field.one})
 
     def linear(self, var_ids) -> "Polynomial":
         p = self.zero()
@@ -239,15 +323,19 @@ class Ring:
             p = p.add(self.var(i))
         return p
 
-    def mono_str(self, m: tuple) -> str:
-        if max(m, default=0) <= 1:  # squarefree: the names of the set bits
-            return "*".join(compress(self.names, m)) or "1"
-        parts = [
-            self.names[i] if e == 1 else f"{self.names[i]}^{e}"
-            for i, e in enumerate(m)
-            if e > 0
-        ]
-        return "*".join(parts) if parts else "1"
+    def mono_str(self, m: int) -> str:
+        """The monomial as names and powers in variable order; visits only
+        the fields that are set."""
+        x = m & self._xmask
+        parts = []
+        while x:
+            s = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+            e = x >> s
+            x ^= e << s
+            v = self._var_at[s // FIELD_BITS]
+            parts.append((v, self.names[v] if e == 1 else f"{self.names[v]}^{e}"))
+        parts.sort()
+        return "*".join(p for _, p in parts) or "1"
 
 
 class Polynomial:
@@ -267,7 +355,7 @@ class Polynomial:
         if self._lt is None:
             if not self.terms:
                 raise ValueError("the zero polynomial has no leading term")
-            m = max(self.terms, key=self.ring.order.key)
+            m = max(self.terms, key=self.ring.key)
             self._lt = (m, self.terms[m])
         return self._lt
 
@@ -275,7 +363,7 @@ class Polynomial:
         return self.lt()[0]
 
     def degree(self) -> int:
-        return max((mono_deg(m) for m in self.terms), default=-1)
+        return max(map(self.ring.degree, self.terms), default=-1)
 
     def _same_ring(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -300,14 +388,14 @@ class Polynomial:
     def sub(self, other: "Polynomial") -> "Polynomial":
         return self.add(other.neg())
 
-    def mul_term(self, mono: tuple, coeff) -> "Polynomial":
+    def mul_term(self, mono: int, coeff) -> "Polynomial":
         f = self.ring.field
         c0 = f.of(coeff)
         if f.is_zero(c0):
             return self.ring.zero()
-        return Polynomial(
-            self.ring, {mono_mul(m, mono): f.mul(c, c0) for m, c in self.terms.items()}
-        )
+        terms = {m + mono: f.mul(c, c0) for m, c in self.terms.items()}
+        self.ring._check_guards(reduce(or_, terms, 0))  # every product at once
+        return Polynomial(self.ring, terms)
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         self._same_ring(other)
@@ -320,15 +408,15 @@ class Polynomial:
         if self.is_zero():
             return self
         _, c = self.lt()
-        return self.mul_term((0,) * self.ring.nvars, self.ring.field.inv(c))
+        return self.mul_term(0, self.ring.field.inv(c))
 
     def sorted_terms(self) -> list[tuple]:
-        return sorted(self.terms.items(), key=lambda mc: self.ring.order.key(mc[0]), reverse=True)
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=self.ring.key, reverse=True)]
 
     def sort_key(self):
-        return tuple(
-            (self.ring.order.key(m), str(c)) for m, c in self.sorted_terms()
-        )
+        key = self.ring.key
+        return tuple((key(m), str(c)) for m, c in self.sorted_terms())
 
     def __eq__(self, other) -> bool:
         return (
@@ -422,28 +510,36 @@ def memoized(key, compute):
 def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of f by basis (in listed order)."""
     _bump("normal_forms")
+    ring = f.ring
     for g in basis:
-        if g.ring != f.ring:
+        if g.ring is not ring and g.ring != ring:
             raise OrderMismatch("basis polynomial from a different ring")
-    field = f.ring.field
-    rem = f.ring.zero()
-    h = f
-    lts = [(g.lm(), g.lt()[1], g) for g in basis if not g.is_zero()]
-    while not h.is_zero():
-        hm, hc = h.lt()
-        hit = None
-        for gm, gc, g in lts:
-            q = mono_div(hm, gm)
-            if q is not None:
-                hit = (q, gc, g)
+    field, key, guards = ring.field, ring.key, ring._guards
+    sub, mul, zero = field.sub, field.mul, field.zero
+    # an S-polynomial of two monomials is zero: skip reading the basis
+    lts = [(*g.lt(), g.terms) for g in basis if g.terms] if f.terms else []
+    rem = {}
+    h = dict(f.terms)
+    while h:
+        hm = max(h, key=key)
+        hg = hm | guards
+        for gm, gc, gterms in lts:
+            if (hg - gm) & guards == guards:  # gm divides hm
+                q, c = hm - gm, mul(h[hm], field.inv(gc))
+                # h -= c * q * g; the leading terms cancel
+                for m, a in gterms.items():
+                    p = m + q
+                    if p & guards:
+                        ring._check_guards(p)
+                    s = sub(h.get(p, zero), mul(a, c))
+                    if s:
+                        h[p] = s
+                    else:
+                        del h[p]
                 break
-        if hit is None:
-            rem = rem.add(f.ring.monomial(hm, hc))
-            h = h.sub(f.ring.monomial(hm, hc))
         else:
-            q, gc, g = hit
-            h = h.sub(g.mul_term(q, field.mul(hc, field.inv(gc))))
-    return rem
+            rem[hm] = h.pop(hm)
+    return Polynomial(ring, rem)
 
 
 def ideal_membership(f: Polynomial, basis: list[Polynomial]) -> bool:
@@ -454,9 +550,9 @@ def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     fm, fc = f.lt()
     gm, gc = g.lt()
     field = f.ring.field
-    l = mono_lcm(fm, gm)
-    a = f.mul_term(mono_div(l, fm), field.inv(fc))
-    b = g.mul_term(mono_div(l, gm), field.inv(gc))
+    l = f.ring.lcm(fm, gm)
+    a = f.mul_term(l - fm, field.inv(fc))
+    b = g.mul_term(l - gm, field.inv(gc))
     return a.sub(b)
 
 
@@ -470,8 +566,13 @@ def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
     an already kept (and already reduced) element can divide it.
     """
     kept: list[Polynomial] = []
-    for p in sorted(gb, key=lambda p: p.ring.order.key(p.lm())):
-        if not any(mono_divides(q.lm(), p.lm()) for q in kept):
+    if not gb:
+        return kept
+    ring = gb[0].ring
+    key, guards = ring.key, ring._guards
+    for p in sorted(gb, key=lambda p: key(p.lm())):
+        pg = p.lm() | guards
+        if not any((pg - q.lm()) & guards == guards for q in kept):
             kept.append(normal_form(p, kept))
     return kept[::-1]
 
@@ -503,10 +604,13 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     if not basis:
         return []
 
+    degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
+    lms = [p.lm() for p in basis]
+
     def pair(i: int, j: int) -> tuple:
         # (i, j) is unique, so the lcm in the last slot is never compared
-        l = mono_lcm(basis[i].lm(), basis[j].lm())
-        return (mono_deg(l), ring.order.key(l), (i, j), l)
+        l = lcm(lms[i], lms[j])
+        return (degree(l), key(l), (i, j), l)
 
     queue = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     heapify(queue)
@@ -516,20 +620,23 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
         _, _, (i, j), l = heappop(queue)
         treated.add((i, j))
         _bump("s_pairs")
-        if l == mono_mul(basis[i].lm(), basis[j].lm()):
+        if l == lms[i] + lms[j]:
             continue  # coprime leading terms
+        lg = l | guards
         if any(
-            k not in (i, j)
-            and mono_divides(basis[k].lm(), l)
+            k != i
+            and k != j
+            and (lg - lk) & guards == guards
             and (min(i, k), max(i, k)) in treated
             and (min(j, k), max(j, k)) in treated
-            for k in range(len(basis))
+            for k, lk in enumerate(lms)
         ):
             continue  # chain criterion
         r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         basis.append(r.monic())
+        lms.append(basis[-1].lm())
         n = len(basis) - 1
         for k in range(n):
             heappush(queue, pair(k, n))
@@ -554,13 +661,15 @@ def groebner_equal(a: list[Polynomial], b: list[Polynomial]) -> bool:
 
 
 def _to_elim_ring(p: Polynomial, ext: Ring, side) -> Polynomial:
-    """Embed p with a fresh first variable t; side scales by t or (1-t)."""
-    top = {(1,) + m: c for m, c in p.terms.items()}  # t * p
+    """Embed p with a fresh first variable t; side scales by t or (1-t).
+
+    p's monomials are the same ints in ext, and t is ext's unit for @t."""
+    t = ext._units[0]
+    top = {m + t: c for m, c in p.terms.items()}  # t * p
     if side == "t":
         return Polynomial(ext, top)
     neg = ext.field.neg
-    bottom = {(0,) + m: c for m, c in p.terms.items()}
-    return Polynomial(ext, bottom | {m: neg(c) for m, c in top.items()})  # (1 - t) * p
+    return Polynomial(ext, p.terms | {m: neg(c) for m, c in top.items()})  # (1 - t) * p
 
 
 def ideal_intersection(
@@ -575,10 +684,9 @@ def ideal_intersection(
     ext = Ring(("@t",) + ring.names, ring.field, MonomialOrder("elim", ring.order.kind))
     gens = [_to_elim_ring(p, ext, "t") for p in i_gens]
     gens += [_to_elim_ring(p, ext, "1-t") for p in j_gens]
+    t = ext._units[0]  # every monomial below t is t-free
     return [
-        Polynomial(ring, {m[1:]: c for m, c in p.terms.items()})
-        for p in groebner_basis(gens, ext)
-        if all(m[0] == 0 for m in p.terms)
+        Polynomial(ring, dict(p.terms)) for p in groebner_basis(gens, ext) if max(p.terms) < t
     ]
 
 
@@ -622,10 +730,10 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _minimalize(monos) -> tuple[tuple, ...]:
-    ms = sorted(set(monos), key=lambda m: (mono_deg(m), m))
+    ms = sorted(set(monos), key=lambda m: (sum(m), m))
     out: list[tuple] = []
     for m in ms:
-        if not any(mono_divides(q, m) for q in out):
+        if not any(all(y <= x for x, y in zip(m, q)) for q in out):
             out.append(m)
     return tuple(out)
 
@@ -641,7 +749,7 @@ def _hilbert_numerator(gens: tuple[tuple, ...], memo: dict) -> tuple[int, ...]:
     if coprime:
         out = (1,)
         for m in gens:
-            factor = [1] + [0] * (mono_deg(m) - 1) + [-1]
+            factor = [1] + [0] * (sum(m) - 1) + [-1]
             out = _poly_mul(out, tuple(factor))
         memo[gens] = out
         return out
@@ -664,8 +772,8 @@ def _hilbert_numerator(gens: tuple[tuple, ...], memo: dict) -> tuple[int, ...]:
 
 
 def hilbert_data(gb: list[Polynomial], ring: Ring) -> HilbertData:
-    gens = _minimalize([g.lm() for g in gb])
-    if any(mono_deg(m) == 0 for m in gens):
+    gens = _minimalize([ring.exponents(g.lm()) for g in gb])
+    if any(sum(m) == 0 for m in gens):
         raise ValueError("unit ideal has no Hilbert data")
     trim = list(_hilbert_numerator(gens, {}))
     while trim and trim[-1] == 0:
@@ -694,7 +802,7 @@ def hilbert_data(gb: list[Polynomial], ring: Ring) -> HilbertData:
 
 def krull_dimension_lt(gb: list[Polynomial], ring: Ring) -> int:
     """Largest variable set supporting no leading monomial (independent set)."""
-    supports = _minimal_supports([g.lm() for g in gb])
+    supports = _minimal_supports([ring.exponents(g.lm()) for g in gb])
     if any(not s for s in supports):
         raise ValueError("unit ideal has no dimension")
     return ring.nvars - _min_hitting_set(supports)

@@ -6,6 +6,7 @@ verifier combining coloration, hypotheses, and containment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .color import (
     Coloration,
@@ -32,9 +33,6 @@ from .poly import (
     groebner_basis,
     krull_dimension_lt,
     memoized,
-    mono_divides,
-    mono_mul,
-    monomials_of_degree,
     rref_rows,
 )
 
@@ -194,9 +192,9 @@ def modB_normal_pair(m: ScrollMatrix, u: int, v: int, ring: Ring) -> RewriteTrac
 
 def _graded_coverage(
     vectors: ReductionVectors, b: IdealPresentation, rho: int
-) -> tuple[tuple[tuple, ...], frozenset[tuple]]:
-    """All degree-(rho+1) monomials and the subset covered by the span of
-    {g_i * m : deg m = rho} and {m * gen : deg = rho+1, gen of B}.
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """All degree-(rho+1) monomials, packed, and the subset covered by the
+    span of {g_i * m : deg m = rho} and {m * gen : deg = rho+1, gen of B}.
 
     Computed once per run scope for each ring, forms, generators and rho.
     """
@@ -206,30 +204,36 @@ def _graded_coverage(
 
 def _compute_graded_coverage(
     vectors: ReductionVectors, b: IdealPresentation, rho: int
-) -> tuple[tuple[tuple, ...], frozenset[tuple]]:
+) -> tuple[tuple[int, ...], frozenset[int]]:
     """Monomial generators strike their multiples outright; remaining rows are
     reduced exactly over the field."""
     ring = b.ring
-    n = ring.nvars
     deg = rho + 1
-    cols = monomials_of_degree(n, deg)
+
+    def of_degree(d: int) -> list[int]:
+        # packed, in the order of monomials_of_degree
+        return [ring.product(c) for c in combinations_with_replacement(range(ring.nvars), d)]
+
+    cols = of_degree(deg)
     mono_gens = []
     binom_gens = []
     for g in b.generators:
-        if len({sum(m) for m in g.terms}) != 1:
+        if len(set(map(ring.degree, g.terms))) != 1:
             raise ValueError(f"generator {g} is not homogeneous")
         (mono_gens if len(g.terms) == 1 else binom_gens).append(g)
     low_monos = [g.lm() for g in mono_gens if g.degree() <= deg]
-    struck = {m for m in cols if any(mono_divides(g, m) for g in low_monos)}
+    divides = ring.divides
+    struck = {m for m in cols if any(divides(g, m) for g in low_monos)}
     remaining = [m for m in cols if m not in struck]
     idx = {m: i for i, m in enumerate(remaining)}
 
     rows: list[dict[int, object]] = []
 
-    def shifted_row(poly: Polynomial, shift: tuple) -> dict[int, object]:
+    def shifted_row(poly: Polynomial, shift: int) -> dict[int, object]:
+        # every product has degree deg, so none can cross a field
         row: dict[int, object] = {}
         for mono, c in poly.terms.items():
-            col = idx.get(mono_mul(mono, shift))
+            col = idx.get(mono + shift)
             if col is not None:
                 row[col] = c
         return row
@@ -237,12 +241,12 @@ def _compute_graded_coverage(
     for g in binom_gens:
         if g.degree() > deg:
             continue
-        for m in monomials_of_degree(n, deg - g.degree()):
+        for m in of_degree(deg - g.degree()):
             row = shifted_row(g, m)
             if row:
                 rows.append(row)
     for g in vectors.forms:
-        for m in monomials_of_degree(n, rho):
+        for m in of_degree(rho):
             row = shifted_row(g, m)
             if row:
                 rows.append(row)
@@ -267,13 +271,14 @@ def degree_containment(
 def monomial_covered(
     vectors: ReductionVectors, b: IdealPresentation, mono: tuple
 ) -> bool:
-    """Membership of a single degree-d monomial in (G*m + B) at its degree;
-    a set lookup once the run holds that degree's coverage."""
+    """Membership of a single degree-d monomial, given as an exponent tuple,
+    in (G*m + B) at its degree; a set lookup once the run holds that degree's
+    coverage."""
     deg = sum(mono)
     if deg < 2:
         raise ValueError(f"monomial of degree {deg}; the span starts in degree 2")
     _, covered = _graded_coverage(vectors, b, deg - 1)
-    return mono in covered
+    return b.ring.pack(mono) in covered
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from binomext.cli import (
     run,
 )
 from conftest import ALL_FIXTURE_NAMES, FIXTURES
+from test_reduce import ring_document
 
 REPORT_KEYS = {
     "command",
@@ -337,6 +338,22 @@ def test_reduce_fallback_attempts_the_dtree_coloration_once(monkeypatch) -> None
     assert len(calls) == 1
 
 
+def test_a_color_run_builds_the_reduced_graph_once(monkeypatch) -> None:
+    # the search's candidates, the binomial conditions, G' and the report
+    # section all read the one graph the run built
+    calls = []
+    build = color.reduced_graph
+
+    def counted(ext):
+        calls.append(ext)
+        return build(ext)
+
+    monkeypatch.setattr(color, "reduced_graph", counted)
+    report = run("color", parse_document(ring_document(20)))
+    assert report["coloration"]["found"] is True
+    assert len(calls) == 1
+
+
 def test_reduce_fallback_does_not_turn_engine_faults_into_verdicts(monkeypatch) -> None:
     def fault(*args, **kwargs):
         raise OrderMismatch("polynomials from different rings")
@@ -366,6 +383,32 @@ def test_a_diverging_rewriter_is_an_internal_error_under_python_O() -> None:
     )
     assert out.returncode == EXIT_INTERNAL_ERROR, out.stderr
     assert out.stderr.startswith("internal error: RewriterDiverged: no canonical family after")
+    assert out.stdout == ""
+
+
+def test_a_monomial_overflow_is_an_internal_error_under_python_O() -> None:
+    # the guard bits are tested by code, not by assert, so an exponent or
+    # degree past MAX_EXPONENT still raises under python -O; main maps the
+    # typed error to exit code 3
+    code = (
+        "import sys\n"
+        "import binomext.cli as c\n"
+        "from binomext.extension import IdealPresentation\n"
+        "from binomext.poly import MAX_EXPONENT\n"
+        "def powers(ext, ring):\n"
+        "    x, y = [0] * ring.nvars, [0] * ring.nvars\n"
+        "    x[0] = y[1] = MAX_EXPONENT\n"
+        "    return IdealPresentation(ring, (ring.monomial(tuple(x)), ring.monomial(tuple(y))))\n"
+        "c.binomial_extension_ideal = powers\n"
+        f"sys.exit(c.main(['hilbert', '--input', {str(FIXTURES / 'greduit.json')!r}]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == EXIT_INTERNAL_ERROR, out.stderr
+    assert out.stderr.startswith("internal error: MonomialOverflow: degree")
     assert out.stdout == ""
 
 

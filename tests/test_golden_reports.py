@@ -7,18 +7,21 @@ reduction-number certificate and the cross-checks. Each rendered report
 (`timing` included) is pinned by its sha256, so a faster printer, non-face
 enumeration, d-tree recognizer or a rearranged certifier must keep every
 byte. The digests were captured before those paths were rewritten; a change
-that alters a report on purpose updates this table and says why.
+that alters a report on purpose updates this table and says why. The
+algebra commands are pinned under lex and deglex and over the rationals too,
+with digests captured while monomials were still exponent tuples.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
 
-from binomext.cli import parse_document, parse_input, render_report, run
+from binomext.cli import parse_document, render_report, run
 from conftest import FIXTURES
 from test_golden_counters import strip_document
 
@@ -57,12 +60,23 @@ def extended_dtree_document(d: int, nfacets: int, seed: int) -> dict:
     }
 
 
-def document(instance: str):
+# the settings each variant writes into the document; "" is the document's own
+VARIANTS = {
+    "": {},
+    "lex": {"order": "lex"},
+    "deglex": {"order": "deglex"},
+    "rational": {"field": "rational"},
+}
+
+
+def document(instance: str, variant: str = ""):
     if instance == "strip3":
-        return parse_document(strip_document(3))
-    if instance == "dtree-3-32":
-        return parse_document(extended_dtree_document(3, 32, seed=7))
-    return parse_input(str(FIXTURES / f"{instance}.json"))
+        data = strip_document(3)
+    elif instance == "dtree-3-32":
+        data = extended_dtree_document(3, 32, seed=7)
+    else:
+        data = json.loads((FIXTURES / f"{instance}.json").read_text(encoding="utf-8"))
+    return parse_document(data | VARIANTS[variant])
 
 
 GOLDEN = {
@@ -107,14 +121,101 @@ GOLDEN = {
 }
 
 
-def report_digest(command: str, instance: str) -> str:
-    text = render_report(run(command, document(instance)))
+# The algebra commands under the other two orders over GF(32003), and under
+# degrevlex over the rationals: the monomial layout, the order key and the
+# elimination order's inner order differ per order, and coefficients per field.
+GOLDEN_VARIANTS = {
+    ("decompose", "greduit", "lex"):
+        "646ab45c2ff97e30e7b5fabfedbb4fadba7c448024f06432d2286e8a779052ee",
+    ("decompose", "cycles_pair", "lex"):
+        "bfbf9584847d7aa17b83a997f2493bc7f6f021345a668be44ca39f335d8fb767",
+    ("decompose", "strip3", "lex"):
+        "15b9c74cb2c6b40ef145abc7f34898fcae356972d6934a6c4fd735c0711b11cf",
+    ("hilbert", "greduit", "lex"):
+        "d59d1e1cf7a64c8b3f1d279d03f7983f2beb348173515957b7389d1e0da55eda",
+    ("hilbert", "cycles_pair", "lex"):
+        "c881a110545ad63476bdd169001cd3219e5c2aa11a4faa098808fa023bd4bea4",
+    ("hilbert", "strip3", "lex"):
+        "555ef6d34d8ff7f2b3be1b5f0740a425e3299f5f702ad4b2fe17bb456c753030",
+    ("reduce", "greduit", "lex"):
+        "52d93b06933ba66329e69afda37ac7e10c74c006d9f34f406931e190d0cbdc1c",
+    ("reduce", "cycles_pair", "lex"):
+        "4bde75deb8834fb08960849fb1d75e5b522b60f21e5c87e78c2f95ef7638350b",
+    ("reduce", "strip3", "lex"):
+        "44c031eb0b50e60d266b92c7336aaa730833bed762e44b780dbd27a8edcbb001",
+    ("oracle", "greduit", "lex"):
+        "0d4e6ed1cc5bfef7943d7755b1a01be39fac557b797e8c1531d8a0d388c12f07",
+    ("oracle", "cycles_pair", "lex"):
+        "41aa94e7aff199455ac414cedd472d1a5853aaf7763bf366ee84cb73422d226c",
+    ("oracle", "strip3", "lex"):
+        "41e1be718c94b840cea03f0158308f9cfd8790ca9e75913e4fa456f0b5e423fe",
+    ("decompose", "greduit", "deglex"):
+        "ec1f79211cdc03c2755ed0cd48cb4161fc0cf2057f62855847ea89c03f0b8aa1",
+    ("decompose", "cycles_pair", "deglex"):
+        "d92f47db9252f4da2a3c9d7ae31cd30d52ac29a216af71a9b709fc958f90640b",
+    ("decompose", "strip3", "deglex"):
+        "29dd79d1919cffa52f841dd0c0ec83d49817e66f9a167361f51dfdfc1f1e3939",
+    ("hilbert", "greduit", "deglex"):
+        "2405fa09c31433b409edd5850a8c4e2a15ac27ddf85df533b1b3d590642224b7",
+    ("hilbert", "cycles_pair", "deglex"):
+        "b7194b6eecb356c5fba62a3bb29271ddec603eb5ab339dc37174d8ffbc286ba4",
+    ("hilbert", "strip3", "deglex"):
+        "515fec90f1a4cc10de0e1aa49acbe6826e0fa502addfa40600b845a333a1c6dd",
+    ("reduce", "greduit", "deglex"):
+        "59e622e8d01f48bc02a15b4cee48bfc5039938fa4882983529108fb4ab55a701",
+    ("reduce", "cycles_pair", "deglex"):
+        "899ba66c1678a73f9bef086716aaccfd05b890f082d7b9075aa79c75a8862d35",
+    ("reduce", "strip3", "deglex"):
+        "1b76453b1e34fcc9a1057c8519005b84f439eb2e88eb476e8c453ba88898db7d",
+    ("oracle", "greduit", "deglex"):
+        "da45575362ed8b8d1f9fb144832b4a8dd513c9b0b4e2650d38480975138e50bc",
+    ("oracle", "cycles_pair", "deglex"):
+        "3a6698bff5423bbc4c209a72c70ff898567837657b0d0f8dc3c930001700844a",
+    ("oracle", "strip3", "deglex"):
+        "d11b7cd79c00a043a9286f35539c5ca82f923aa5cfa2cad42daa5ab7b275fa86",
+    ("decompose", "greduit", "rational"):
+        "e309d7f9f1a0f3618e01a254b520856459e58bc323c9e32ae44ad2d7913534ef",
+    ("decompose", "cycles_pair", "rational"):
+        "c8cd98755d3e3ffc0471d168b3292b268d8a145f620ffcff4743973faef5b3b0",
+    ("decompose", "strip3", "rational"):
+        "b71eab256c0c7bf39a645c39bd0a204b93222de6847105d7bdc15c294d66c0b0",
+    ("hilbert", "greduit", "rational"):
+        "9282c55b1ab0609dbd18222a45b7ddb560c230fa4e8438c4f4b9fa09d91ed578",
+    ("hilbert", "cycles_pair", "rational"):
+        "ab3b53f423a1bb1305e0b8c9f37f0933295db34a11abe76ef9782777e918df0f",
+    ("hilbert", "strip3", "rational"):
+        "93c792cc4a64dbce9bc47144656d18926b07efd89f01aac541d104f80e135357",
+    ("reduce", "greduit", "rational"):
+        "7826ac111e01e0f579782b74c1bec4549a15b32f84c88281df4d40cf5ca46a31",
+    ("reduce", "cycles_pair", "rational"):
+        "5278993d9742d474e1c2b193314c734b3ed93e4dfee70e6ef1b89d32798fdf13",
+    ("reduce", "strip3", "rational"):
+        "a647a7e99f7915991a401ee12d9eea51a5c1dfd2c73605b00440329c6e8287ba",
+    ("oracle", "greduit", "rational"):
+        "2ade0985a1b021ce3f0c9d59d30c0656ba4ed6adcf455a3893322b205be8bff9",
+    ("oracle", "cycles_pair", "rational"):
+        "ccbe1cb47961ae6303823acb2bbfcee9bd57df6995652ae4f57b324b91f64e1d",
+    ("oracle", "strip3", "rational"):
+        "025bd8742d8c3b4aa4c27f2ec587674a5b765eb211d80797555104fa732b2f51",
+}
+
+
+def report_digest(command: str, instance: str, variant: str = "") -> str:
+    text = render_report(run(command, document(instance, variant)))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("command,instance", sorted(GOLDEN))
 def test_report_bytes_are_pinned(command: str, instance: str) -> None:
     assert report_digest(command, instance) == GOLDEN[(command, instance)]
+
+
+@pytest.mark.parametrize("command,instance,variant", sorted(GOLDEN_VARIANTS))
+def test_report_bytes_are_pinned_under_other_orders_and_fields(
+    command: str, instance: str, variant: str
+) -> None:
+    digest = report_digest(command, instance, variant)
+    assert digest == GOLDEN_VARIANTS[(command, instance, variant)]
 
 
 def test_the_generated_dtree_is_large_and_extended() -> None:

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from binomext import poly
 from binomext.poly import (
+    MAX_EXPONENT,
     PRIME_LIMIT,
     MonomialOrder,
+    MonomialOverflow,
     OrderMismatch,
     PrimeField,
     RationalField,
@@ -31,10 +33,6 @@ from binomext.poly import (
     ideal_intersection_many,
     ideal_membership,
     krull_dimension_lt,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     monomials_of_degree,
     normal_form,
     rref_rows,
@@ -131,29 +129,149 @@ def test_field_by_name() -> None:
 # ---------------------------------------------------------------------------
 # monomials and orders
 
+# Reference monomial arithmetic on exponent tuples, the packed operations'
+# oracle.
+
+
+def ref_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_div(a: tuple, b: tuple) -> tuple | None:
+    q = tuple(x - y for x, y in zip(a, b))
+    return q if all(e >= 0 for e in q) else None
+
+
+def ref_divides(b: tuple, a: tuple) -> bool:
+    return all(y <= x for x, y in zip(a, b))
+
+
+def ref_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+# key function per base order kind; bigger key = bigger monomial
+REF_KEYS = {
+    "lex": lambda m: m,
+    "deglex": lambda m: (sum(m), m),
+    "degrevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
+}
+
+
+def ref_key(order: MonomialOrder, m: tuple):
+    if order.kind == "elim":
+        return (m[0], REF_KEYS[order.inner](m[1:]))
+    return REF_KEYS[order.kind](m)
+
+
+def ref_degree(order: MonomialOrder, m: tuple) -> int:
+    """The degree that must stay within MAX_EXPONENT: an elimination
+    variable is outside it."""
+    return sum(m[1:]) if order.kind == "elim" else sum(m)
+
 
 def test_mono_helpers() -> None:
-    assert mono_mul((1, 0), (0, 2)) == (1, 2)
-    assert mono_div((1, 2), (1, 0)) == (0, 2)
-    assert mono_div((1, 0), (0, 1)) is None
-    assert mono_divides((1, 0), (1, 2))
-    assert mono_lcm((2, 0, 1), (1, 3, 1)) == (2, 3, 1)
+    r, r3 = ring("x y"), ring("x y z")
+    assert r.monomial((1, 0)).mul_term(r.pack((0, 2)), 1).lm() == r.pack((1, 2))
+    assert r.divides(r.pack((1, 0)), r.pack((1, 2)))
+    assert r.exponents(r.pack((1, 2)) - r.pack((1, 0))) == (0, 2)
+    assert not r.divides(r.pack((0, 1)), r.pack((1, 0)))
+    assert r3.exponents(r3.lcm(r3.pack((2, 0, 1)), r3.pack((1, 3, 1)))) == (2, 3, 1)
 
 
 def test_degrevlex_vs_deglex_tiebreak() -> None:
     xz = (1, 0, 1)
     yy = (0, 2, 0)
-    drl = MonomialOrder("degrevlex")
-    dl = MonomialOrder("deglex")
-    assert drl.key(yy) > drl.key(xz)
-    assert dl.key(xz) > dl.key(yy)
-    assert MonomialOrder("lex").key((1, 0, 0)) > MonomialOrder("lex").key((0, 9, 9))
+    drl = ring("x y z")
+    dl = ring("x y z", order="deglex")
+    lex = ring("x y z", order="lex")
+    assert drl.key(drl.pack(yy)) > drl.key(drl.pack(xz))
+    assert dl.key(dl.pack(xz)) > dl.key(dl.pack(yy))
+    assert lex.key(lex.pack((1, 0, 0))) > lex.key(lex.pack((0, 9, 9)))
 
 
 def test_elim_order_dominates_first_variable() -> None:
-    o = MonomialOrder("elim")
-    assert o.key((1, 0, 0)) > o.key((0, 5, 5))
-    assert o.key((0, 0, 2)) < o.key((0, 1, 1))
+    o = Ring(("t", "x", "y"), PrimeField(), MonomialOrder("elim"))
+    assert o.key(o.pack((1, 0, 0))) > o.key(o.pack((0, 5, 5)))
+    assert o.key(o.pack((0, 0, 2))) < o.key(o.pack((0, 1, 1)))
+
+
+ORDERS = [MonomialOrder(k) for k in ("lex", "deglex", "degrevlex")] + [
+    MonomialOrder("elim", inner) for inner in ("lex", "deglex", "degrevlex")
+]
+
+
+@st.composite
+def packable(draw, order: MonomialOrder, nvars: int) -> tuple:
+    """An exponent tuple whose degree fits: exponents are drawn up to
+    MAX_EXPONENT, mostly small, and each is capped by the degree left."""
+    big = st.integers(0, MAX_EXPONENT)
+    raw = draw(st.lists(st.one_of(st.integers(0, 3), big), min_size=nvars, max_size=nvars))
+    out, left = [], MAX_EXPONENT
+    for v, e in enumerate(raw):
+        if order.kind == "elim" and v == 0:
+            out.append(e)
+            continue
+        out.append(min(e, left))
+        left -= out[-1]
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), order=st.sampled_from(ORDERS), nvars=st.integers(1, 12))
+def test_packed_monomials_match_the_tuple_reference(data, order, nvars) -> None:
+    if order.kind == "elim":
+        nvars += 1
+    r = Ring(tuple(f"x{i}" for i in range(nvars)), PrimeField(), order)
+    a, b = data.draw(packable(order, nvars)), data.draw(packable(order, nvars))
+    pa, pb = r.pack(a), r.pack(b)
+    assert r.exponents(pa) == a and r.exponents(pb) == b
+    assert r.degree(pa) == sum(a)
+    assert (r.key(pa) > r.key(pb)) == (ref_key(order, a) > ref_key(order, b))
+    assert (r.key(pa) == r.key(pb)) == (a == b)
+    assert r.divides(pb, pa) == ref_divides(b, a)
+    if ref_divides(b, a):
+        assert pa - pb == r.pack(ref_div(a, b))
+    product, lcm = ref_mul(a, b), ref_lcm(a, b)
+    if max(product) > MAX_EXPONENT or ref_degree(order, product) > MAX_EXPONENT:
+        with pytest.raises(MonomialOverflow):
+            r.monomial(a).mul_term(pb, 1)
+    else:
+        assert r.monomial(a).mul_term(pb, 1).lm() == pa + pb == r.pack(product)
+    if ref_degree(order, lcm) > MAX_EXPONENT:
+        with pytest.raises(MonomialOverflow):
+            r.lcm(pa, pb)
+    else:
+        assert r.lcm(pa, pb) == r.pack(lcm)
+
+
+def test_an_elim_ring_extends_its_base_layout() -> None:
+    # a base monomial is the same int in the elim ring, t-free there
+    for kind in ("lex", "deglex", "degrevlex"):
+        base = ring("x y z", order=kind)
+        elim = Ring(("@t",) + base.names, base.field, MonomialOrder("elim", kind))
+        for exps in [(0, 0, 0), (1, 2, 3), (4, 0, 1)]:
+            assert elim.pack((0,) + exps) == base.pack(exps)
+            assert elim.pack((1,) + exps) > elim.pack((0,) + (9, 9, 9))
+
+
+def test_overflow_is_a_typed_error() -> None:
+    r = ring("x y")
+    top = r.pack((MAX_EXPONENT, 0))
+    assert r.exponents(top) == (MAX_EXPONENT, 0)
+    # one past the largest exponent, and one past the largest degree
+    with pytest.raises(MonomialOverflow):
+        r.monomial((MAX_EXPONENT + 1, 0))
+    with pytest.raises(MonomialOverflow):
+        r.monomial((MAX_EXPONENT, 1))
+    x, y = r.pack((1, 0)), r.pack((0, 1))
+    with pytest.raises(MonomialOverflow):
+        r.monomial((MAX_EXPONENT, 0)).mul_term(x, 1)
+    with pytest.raises(MonomialOverflow):
+        r.monomial((MAX_EXPONENT, 0)).mul_term(y, 1)
+    with pytest.raises(MonomialOverflow):
+        r.lcm(top, y)
+    assert issubclass(MonomialOverflow, ValueError)
 
 
 def test_unknown_order_rejected() -> None:
@@ -216,7 +334,7 @@ def _reference_str(p) -> str:
     for m, c in p.sorted_terms():
         cs = p.ring.field.to_str(c)
         mono = "*".join(
-            n if e == 1 else f"{n}^{e}" for n, e in zip(p.ring.names, m) if e
+            n if e == 1 else f"{n}^{e}" for n, e in zip(p.ring.names, p.ring.exponents(m)) if e
         ) or "1"
         if mono == "1":
             piece = cs
@@ -306,10 +424,10 @@ def test_buchberger_satisfies_gb_criterion(seed: int) -> None:
     for f in gens:
         assert ideal_membership(f, gb)
     for i, j in combinations(range(len(gb)), 2):
-        fm, gm = gb[i].lm(), gb[j].lm()
-        l = mono_lcm(fm, gm)
-        a = gb[i].mul_term(mono_div(l, fm), r.field.one)
-        b = gb[j].mul_term(mono_div(l, gm), r.field.one)
+        fm, gm = r.exponents(gb[i].lm()), r.exponents(gb[j].lm())
+        l = ref_lcm(fm, gm)
+        a = gb[i].mul_term(r.pack(ref_div(l, fm)), r.field.one)
+        b = gb[j].mul_term(r.pack(ref_div(l, gm)), r.field.one)
         assert ideal_membership(a.sub(b), gb)
 
 
@@ -333,7 +451,9 @@ def test_reduced_basis_shape() -> None:
         for j, q in enumerate(gb):
             if i == j:
                 continue
-            assert all(not mono_divides(q.lm(), m) for m in p.terms)
+            assert all(
+                not ref_divides(r.exponents(q.lm()), r.exponents(m)) for m in p.terms
+            )
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -362,7 +482,9 @@ def test_groebner_agrees_between_fields() -> None:
 
     gq = buchberger(minors(rq), rq)
     gp = buchberger(minors(rp), rp)
-    assert [sorted(p.terms) for p in gq] == [sorted(p.terms) for p in gp]
+    assert [sorted(map(rq.exponents, p.terms)) for p in gq] == [
+        sorted(map(rp.exponents, p.terms)) for p in gp
+    ]
     for pq, pp in zip(gq, gp):
         for m in pq.terms:
             assert rp.field.of(int(pq.terms[m])) == pp.terms[m]
@@ -425,7 +547,7 @@ def _series_coefficient(numerator, nvars: int, t: int) -> int:
 def _brute_hilbert_function(lts, nvars: int, t: int) -> int:
     count = 0
     for m in monomials_of_degree(nvars, t):
-        if not any(mono_divides(g, m) for g in lts):
+        if not any(ref_divides(g, m) for g in lts):
             count += 1
     return count
 
