@@ -38,6 +38,7 @@ from .extension import (
     FacetOutOfRange,
     NotAProperEdge,
     OriginMismatch,
+    binomial_extension_generators,
     binomial_extension_ideal,
     build_extension_complex,
     component_ideals,
@@ -386,13 +387,12 @@ def _cmd_validate(model: Model) -> tuple[bool, dict]:
 
 
 def _cmd_ideal(model: Model) -> tuple[bool, dict]:
-    b = binomial_extension_ideal(model.ext, model.ring)
+    # the strings binomial_extension_ideal's generators print, without
+    # packing a monomial per non-face
+    minors, non_faces = binomial_extension_generators(model.ext, model.ring)
+    polynomials = [str(p) for p in minors] + list(map(model.ring.join_names, non_faces))
     return True, {
-        "generators": {
-            "label": b.label,
-            "count": len(b.generators),
-            "polynomials": [str(p) for p in b.generators],
-        }
+        "generators": {"label": "B", "count": len(polynomials), "polynomials": polynomials}
     }
 
 

@@ -5,7 +5,9 @@ non-faces, and proper edge stars.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_
 
 
 class EmptyFacet(ValueError):
@@ -37,11 +39,16 @@ class SimplicialComplex:
     def names(self, vids) -> list[str]:
         return sorted(self.name_of(v) for v in vids)
 
-    def id_of(self, name: str) -> int:
+    @cached_property
+    def _id_by_name(self) -> dict[str, int]:
+        ids: dict[str, int] = {}
         for v in self.vertices:
-            if v.name == name:
-                return v.id
-        raise KeyError(name)
+            ids.setdefault(v.name, v.id)
+        return ids
+
+    def id_of(self, name: str) -> int:
+        """The id of the first vertex with this name; KeyError if none."""
+        return self._id_by_name[name]
 
     def is_face(self, vids) -> bool:
         s = frozenset(vids)
@@ -209,20 +216,42 @@ def quasi_tree_order(facets) -> list[int] | None:
     chordal graphs (Herzog, Hibi, Trung & Zheng 2008), and removing a leaf
     keeps that property, so the lowest-index leaf is removed each time and no
     choice is ever undone.
+
+    Each vertex indexes the remaining facets that hold it. F's boundary is
+    then its vertices held more than once, and only a facet holding the
+    boundary's rarest vertex can contain it, so a leaf test never forms the
+    union of the other facets.
     """
     facets = list(facets)
+    holders: dict[int, set[int]] = {}
+    for i, f in enumerate(facets):
+        for v in f:
+            holders.setdefault(v, set()).add(i)
+
+    def is_leaf(i: int) -> bool:
+        boundary = [v for v in facets[i] if len(holders[v]) > 1]
+        if not boundary:
+            return True
+        rarest = min(boundary, key=lambda v: len(holders[v]))
+        return any(j != i and facets[j].issuperset(boundary) for j in holders[rarest])
+
     remaining = list(range(len(facets)))
     removed: list[int] = []
+    stuck: set[int] = set()  # tested, not a leaf, no neighbour removed since
     while len(remaining) > 1:
-        for i in remaining:
-            rest = [j for j in remaining if j != i]
-            boundary = facets[i] & frozenset().union(*(facets[j] for j in rest))
-            if any(boundary <= facets[j] for j in rest):
-                break
+        for leaf in remaining:
+            if leaf not in stuck:
+                if is_leaf(leaf):
+                    break
+                stuck.add(leaf)
         else:
             return None
-        remaining.remove(i)
-        removed.append(i)
+        remaining.remove(leaf)
+        removed.append(leaf)
+        for v in facets[leaf]:
+            holders[v].discard(leaf)
+            # only a facet meeting the removed one can change its answer
+            stuck -= holders[v]
     return remaining + removed[::-1] if remaining else None
 
 
@@ -282,25 +311,36 @@ def stanley_reisner_generators(sc: SimplicialComplex) -> list[tuple[int, ...]]:
     """
     n = len(sc.vertices)
     adj = skeleton_graph(sc).adjacency()
-    out: list[tuple[int, ...]] = [
-        (u, v) for u, v in combinations(range(n), 2) if v not in adj[u]
-    ]
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if v not in adj[u]]
+    later = [{w for w in adj[v] if w > v} for v in range(n)]
+    out: list[tuple[int, ...]] = []
 
     top = sc.dim + 2
+    # per vertex, the facets that hold it, as a bitmask over facet indices;
+    # a clique is a face exactly when some facet holds all its vertices
+    masks = [0] * n
+    for i, f in enumerate(sc.facets):
+        for v in f:
+            masks[v] |= 1 << i
 
-    def grow(clique: tuple[int, ...], cands: set[int]) -> None:
+    def held(vids) -> int:
+        return reduce(and_, map(masks.__getitem__, vids))
+
+    def grow(clique: tuple[int, ...], holding: int, cands: set[int]) -> None:
         size = len(clique)
-        if size >= 3 and not sc.is_face(clique):
-            if all(sc.is_face(clique[:i] + clique[i + 1 :]) for i in range(size)):
+        if not holding:
+            # the clique less its last vertex is the parent, a face
+            if all(held(clique[:i] + clique[i + 1 :]) for i in range(size - 1)):
                 out.append(clique)
             return  # supersets contain this non-face, never minimal
         if size == top:
             return
         for v in sorted(cands):
-            grow(clique + (v,), {w for w in cands if w > v and w in adj[v]})
+            grow(clique + (v,), holding & masks[v], cands & later[v])
 
-    grow((), set(range(n)))
-    return sorted(out, key=lambda t: (len(t), t))
+    grow((), (1 << len(sc.facets)) - 1, set(range(n)))
+    # the pairs come out of combinations already in order
+    return pairs + sorted(out, key=lambda t: (len(t), t))
 
 
 @dataclass(frozen=True)

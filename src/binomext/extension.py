@@ -251,18 +251,23 @@ def component_ideals(ext: ExtensionComplex, ring: Ring) -> list[IdealPresentatio
     return out
 
 
+def binomial_extension_generators(
+    ext: ExtensionComplex, ring: Ring
+) -> tuple[list[Polynomial], list[tuple[int, ...]]]:
+    """B's generators in two parts: every facet's scroll minors, each kept
+    at its first occurrence, then the minimal non-faces of the extended
+    complex as sorted vertex-id tuples (square-free monomials, unpacked)."""
+    minors = (p for l in range(len(ext.base.facets)) for p in facet_minors(ext, ring, l))
+    return list(dict.fromkeys(minors)), stanley_reisner_generators(ext.extended_complex())
+
+
 def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresentation:
     """All scroll minors together with the minimal non-faces of the extended
     complex (as square-free monomials)."""
-    gens: list[Polynomial] = []
-    for l in range(len(ext.base.facets)):
-        for p in facet_minors(ext, ring, l):
-            if p not in gens:
-                gens.append(p)
+    minors, non_faces = binomial_extension_generators(ext, ring)
     one = ring.field.one
-    for nf in stanley_reisner_generators(ext.extended_complex()):
-        gens.append(Polynomial(ring, {ring.product(nf): one}))
-    return IdealPresentation(ring, tuple(gens), label="B")
+    monomials = (Polynomial(ring, {ring.product(nf): one}) for nf in non_faces)
+    return IdealPresentation(ring, (*minors, *monomials), label="B")
 
 
 # ---------------------------------------------------------------------------

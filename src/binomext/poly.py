@@ -337,6 +337,11 @@ class Ring:
         parts.sort()
         return "*".join(p for _, p in parts) or "1"
 
+    def join_names(self, var_ids) -> str:
+        """mono_str of the square-free monomial of var_ids, given in
+        increasing order, with no monomial packed."""
+        return "*".join(map(self.names.__getitem__, var_ids)) or "1"
+
 
 class Polynomial:
     __slots__ = ("ring", "terms", "_lt", "_hash")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -156,3 +157,37 @@ def random_dtree_extension(seed: int) -> ExtensionComplex:
     g = graph(vertices, edges)
     base = clique_complex(g)
     return _attach_random_extensions(rng, base, max_points=2)
+
+
+def extended_dtree_document(d: int, nfacets: int, seed: int) -> dict:
+    """A generalized d-tree glued facet by facet along full d-faces, with
+    about two thirds of its facets extended along random proper edges by
+    0-2 points per edge."""
+    rng = random.Random(seed)
+    facets = [tuple(range(d + 1))]
+    while len(facets) < nfacets:
+        face = sorted(rng.sample(rng.choice(facets), d))
+        facets.append((*face, d + len(facets)))
+    uses: dict[tuple[int, int], int] = {}
+    for f in facets:
+        for e in combinations(f, 2):
+            uses[e] = uses.get(e, 0) + 1
+    extensions = []
+    points = 0
+    for l, f in enumerate(facets):
+        if rng.random() < 0.35:
+            continue
+        origin = rng.choice(f)
+        proper = [t for t in f if t != origin and uses[(min(origin, t), max(origin, t))] == 1]
+        if not proper:
+            continue
+        edges = []
+        for t in sorted(rng.sample(proper, rng.randint(1, len(proper)))):
+            count = rng.randint(0, 2)
+            edges.append({"target": f"v{t}", "points": [f"p{points + k}" for k in range(count)]})
+            points += count
+        extensions.append({"facet": l, "origin": f"v{origin}", "edges": edges})
+    return {
+        "facets": [[f"v{v}" for v in f] for f in facets],
+        "extensions": extensions,
+    }

@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binomext import DuplicatePointName, OrderMismatch, cli, color
+from binomext import DuplicatePointName, OrderMismatch, binomial_extension_ideal, cli, color
 from binomext.cli import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -30,7 +32,14 @@ from binomext.cli import (
     render_report,
     run,
 )
-from conftest import ALL_FIXTURE_NAMES, FIXTURES
+from conftest import (
+    ALL_FIXTURE_NAMES,
+    FIXTURES,
+    extension_document,
+    random_dtree_extension,
+    random_scroll_extension,
+    random_small_extension,
+)
 from test_reduce import ring_document
 
 REPORT_KEYS = {
@@ -277,6 +286,26 @@ def test_ideal_report_counts_generators() -> None:
     assert section["label"] == "B"
     assert section["count"] == 6
     assert len(section["polynomials"]) == 6
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    make=st.sampled_from(
+        [random_small_extension, random_dtree_extension, random_scroll_extension]
+    ),
+    order=st.sampled_from(["lex", "deglex", "degrevlex"]),
+    field=st.sampled_from([32003, "rational"]),
+)
+def test_ideal_report_prints_the_packed_generators(seed, make, order, field) -> None:
+    # the report prints non-faces from vertex tuples; the packed ideal that
+    # the algebra commands use is the oracle
+    doc = parse_document(extension_document(make(seed)) | {"order": order, "field": field})
+    model = build_model(doc)
+    packed = [str(p) for p in binomial_extension_ideal(model.ext, model.ring).generators]
+    section = run("ideal", doc)["generators"]
+    assert section["polynomials"] == packed
+    assert section["count"] == len(packed)
 
 
 def test_decompose_report_on_the_glued_pair() -> None:

@@ -30,7 +30,7 @@ from binomext.complexes import (
     validate_complex,
 )
 from binomext.cli import parse_document, run
-from conftest import random_dtree_extension
+from conftest import extended_dtree_document, random_dtree_extension
 
 
 def names_of(sc, vids) -> set[str]:
@@ -45,6 +45,16 @@ def test_first_appearance_ids() -> None:
     sc = validate_complex([["b", "a"], ["a", "c"]])
     assert [v.name for v in sc.vertices] == ["b", "a", "c"]
     assert sc.id_of("c") == 2
+
+
+def test_vertex_names_resolve_to_ids() -> None:
+    sc = validate_complex([["b", "a"], ["a", "c"]])
+    assert [sc.id_of(n) for n in "abc"] == [1, 0, 2]
+    with pytest.raises(KeyError):
+        sc.id_of("d")
+    # a complex built with a repeated label answers with its first vertex
+    twice = clique_complex(graph(range(3), [(0, 1), (1, 2)]), {0: "u", 1: "w", 2: "u"})
+    assert twice.id_of("u") == 0
 
 
 def test_declared_vertex_order() -> None:
@@ -309,6 +319,26 @@ def test_greedy_leaf_order_matches_backtracking(seed: int) -> None:
         assert quasi_tree_order(facets) == _backtracking_leaf_order(facets)
 
 
+def _reference_leaf_order(facets) -> list[int] | None:
+    """The greedy peel as first written: each candidate's boundary is its
+    meet with the union of every other remaining facet. Cubic in the
+    number of facets."""
+    facets = list(facets)
+    remaining = list(range(len(facets)))
+    removed: list[int] = []
+    while len(remaining) > 1:
+        for i in remaining:
+            rest = [j for j in remaining if j != i]
+            boundary = facets[i] & frozenset().union(*(facets[j] for j in rest))
+            if any(boundary <= facets[j] for j in rest):
+                break
+        else:
+            return None
+        remaining.remove(i)
+        removed.append(i)
+    return remaining + removed[::-1] if remaining else None
+
+
 def two_tree_less_one_triangle(ntriangles: int, seed: int) -> dict:
     """A random 2-tree of ntriangles triangles with one triangle removed
     that has exactly one edge no other triangle covers; that edge stays as
@@ -328,6 +358,40 @@ def two_tree_less_one_triangle(ntriangles: int, seed: int) -> dict:
     k, edge = rng.choice(candidates)
     facets = triangles[:k] + triangles[k + 1 :] + [edge]
     return {"facets": [[f"v{v}" for v in f] for f in facets]}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    nfacets=st.integers(min_value=30, max_value=120),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_leaf_order_matches_the_reference_on_large_dtrees(d, nfacets, seed) -> None:
+    # built facet by facet, the late facets are the leaves; shuffled, the
+    # leaves sit anywhere in the list
+    facets = list(validate_complex(extended_dtree_document(d, nfacets, seed)["facets"]).facets)
+    assert len(facets) == nfacets
+    shuffled = random.Random(seed).sample(facets, len(facets))
+    for order in (facets, shuffled):
+        got = quasi_tree_order(order)
+        assert got is not None
+        assert got == _reference_leaf_order(order)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    ntriangles=st.integers(min_value=3, max_value=60),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_leaf_order_matches_the_reference_on_two_trees_less_one_triangle(
+    ntriangles, seed
+) -> None:
+    facets = list(validate_complex(two_tree_less_one_triangle(ntriangles, seed)["facets"]).facets)
+    shuffled = random.Random(seed).sample(facets, len(facets))
+    for order in (facets, shuffled):
+        got = quasi_tree_order(order)
+        assert got is None
+        assert got == _reference_leaf_order(order)
 
 
 def test_a_dtree_skeleton_without_a_leaf_order_is_rejected_quickly() -> None:
@@ -376,27 +440,42 @@ def test_band_non_faces_are_the_missing_edges() -> None:
     assert {"a", "d"} in [names_of(sc, g) for g in gens]
 
 
-def test_non_faces_by_brute_force_on_random_complexes() -> None:
-    for seed in range(10):
-        rng = random.Random(seed)
+def _random_chordal_graph(rng: random.Random, n: int):
+    """Each new vertex joins a random subset of a random maximal clique of
+    the graph so far (possibly none, starting a new component); the reverse
+    of that order is a perfect elimination order."""
+    edges: set[tuple[int, int]] = set()
+    for v in range(1, n):
+        clique = rng.choice(maximal_cliques(graph(range(v), edges)))
+        edges.update((u, v) for u in clique if rng.random() < 0.7)
+    return graph(range(n), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), chordal=st.booleans())
+def test_non_faces_by_brute_force_on_random_complexes(seed: int, chordal: bool) -> None:
+    rng = random.Random(seed)
+    if chordal:
+        sc = clique_complex(_random_chordal_graph(rng, rng.randint(1, 8)))
+    else:
         n = rng.randint(3, 6)
         raw = [
             rng.sample([f"v{i}" for i in range(n)], rng.randint(2, min(4, n)))
             for _ in range(rng.randint(1, 4))
         ]
         sc = validate_complex(raw)
-        vids = range(len(sc.vertices))
-        brute = []
-        for size in range(2, sc.dim + 3):
-            for sub in combinations(vids, size):
-                s = frozenset(sub)
-                if sc.is_face(s):
-                    continue
-                if all(sc.is_face(s - {v}) for v in s):
-                    brute.append(s)
-        got = sorted(tuple(sorted(g)) for g in stanley_reisner_generators(sc))
-        want = sorted(tuple(sorted(g)) for g in brute)
-        assert got == want
+    vids = range(len(sc.vertices))
+    brute = []
+    for size in range(2, sc.dim + 3):
+        for sub in combinations(vids, size):
+            s = frozenset(sub)
+            if sc.is_face(s):
+                continue
+            if all(sc.is_face(s - {v}) for v in s):
+                brute.append(s)
+    got = stanley_reisner_generators(sc)
+    want = sorted((tuple(sorted(g)) for g in brute), key=lambda t: (len(t), t))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

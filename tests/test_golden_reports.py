@@ -9,55 +9,22 @@ enumeration, d-tree recognizer or a rearranged certifier must keep every
 byte. The digests were captured before those paths were rewritten; a change
 that alters a report on purpose updates this table and says why. The
 algebra commands are pinned under lex and deglex and over the rationals too,
-with digests captured while monomials were still exponent tuples.
+with digests captured while monomials were still exponent tuples; so are
+`validate`, `ideal` and `color`, with digests captured while every non-face
+was still printed from a packed polynomial.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import random
-from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from binomext.cli import parse_document, render_report, run
-from conftest import FIXTURES
+from conftest import FIXTURES, extended_dtree_document
 from test_golden_counters import strip_document
-
-
-def extended_dtree_document(d: int, nfacets: int, seed: int) -> dict:
-    """A generalized d-tree glued facet by facet along full d-faces, with
-    about two thirds of its facets extended along random proper edges by
-    0-2 points per edge."""
-    rng = random.Random(seed)
-    facets = [tuple(range(d + 1))]
-    while len(facets) < nfacets:
-        face = sorted(rng.sample(rng.choice(facets), d))
-        facets.append((*face, d + len(facets)))
-    uses: dict[tuple[int, int], int] = {}
-    for f in facets:
-        for e in combinations(f, 2):
-            uses[e] = uses.get(e, 0) + 1
-    extensions = []
-    points = 0
-    for l, f in enumerate(facets):
-        if rng.random() < 0.35:
-            continue
-        origin = rng.choice(f)
-        proper = [t for t in f if t != origin and uses[(min(origin, t), max(origin, t))] == 1]
-        if not proper:
-            continue
-        edges = []
-        for t in sorted(rng.sample(proper, rng.randint(1, len(proper)))):
-            count = rng.randint(0, 2)
-            edges.append({"target": f"v{t}", "points": [f"p{points + k}" for k in range(count)]})
-            points += count
-        extensions.append({"facet": l, "origin": f"v{origin}", "edges": edges})
-    return {
-        "facets": [[f"v{v}" for v in f] for f in facets],
-        "extensions": extensions,
-    }
 
 
 # the settings each variant writes into the document; "" is the document's own
@@ -121,9 +88,11 @@ GOLDEN = {
 }
 
 
-# The algebra commands under the other two orders over GF(32003), and under
+# Every command under the other two orders over GF(32003), and under
 # degrevlex over the rationals: the monomial layout, the order key and the
 # elimination order's inner order differ per order, and coefficients per field.
+# The minors print in a term order that depends on the monomial order and the
+# non-faces print the same under every order, so `ideal` pins both printers.
 GOLDEN_VARIANTS = {
     ("decompose", "greduit", "lex"):
         "646ab45c2ff97e30e7b5fabfedbb4fadba7c448024f06432d2286e8a779052ee",
@@ -197,6 +166,78 @@ GOLDEN_VARIANTS = {
         "ccbe1cb47961ae6303823acb2bbfcee9bd57df6995652ae4f57b324b91f64e1d",
     ("oracle", "strip3", "rational"):
         "025bd8742d8c3b4aa4c27f2ec587674a5b765eb211d80797555104fa732b2f51",
+    ("ideal", "greduit", "lex"):
+        "890cca36126df84596ccc8e9a3de94b326eb368d1130ec3d6515b7682d266cda",
+    ("ideal", "greduit", "deglex"):
+        "1bb7c9d097d0c6b386019b52a6ca8ad99dce48378760098005dc1e4143e665b9",
+    ("ideal", "greduit", "rational"):
+        "04268146ac523497d59a97396a4471428955d6c228e20abc374efc4be1d5a14c",
+    ("ideal", "cycles_pair", "lex"):
+        "2c362b770340b15dcb5c952798b997e18d36bdafd6e4d66102f0694bba1e7a89",
+    ("ideal", "cycles_pair", "deglex"):
+        "5f3aaef9435d2cceafcdee7e629168487d97b92de29430cf2473cd4cb2012497",
+    ("ideal", "cycles_pair", "rational"):
+        "bcdd288b72108a41ea5cec410eaaf58f8b190501f72e85b4d84a151edf78919f",
+    ("ideal", "strip3", "lex"):
+        "7a4c791f7ceaf69d7fb2da6bd7daf8a0544ebe092b0708921172e0afd73b51cd",
+    ("ideal", "strip3", "deglex"):
+        "3ad2e43da2e9707b1868d5cbc8eaf67fcf7146b05208bd03c872960522b50938",
+    ("ideal", "strip3", "rational"):
+        "c21e103defd70c313b9e5fffe74e0348076cc86c2fcd5ba603fd8e331a5f6d41",
+    ("ideal", "dtree-3-32", "lex"):
+        "c0c3ffbdea944a55ef5dbd484ae31e586d86fca42f536811f90ce38f45926e0d",
+    ("ideal", "dtree-3-32", "deglex"):
+        "283ba303d7d522cbfab5d6445b6b44765bb7d931b710d803c57246007c9a834d",
+    ("ideal", "dtree-3-32", "rational"):
+        "c18496420afd0415af513b9da95853e7190acf7bf333f6d5e5f89c55849e733a",
+    ("validate", "greduit", "lex"):
+        "44bb32a6f0c95285402c7d7e8b7e454f7cea1f124756f569712c0b1b5eb0b227",
+    ("validate", "greduit", "deglex"):
+        "af67ce5beb2b5219512c1fb80133aac6dffbe159c86fc354cc7290b972def3d5",
+    ("validate", "greduit", "rational"):
+        "fc09b6e3606c371f40447339c4fe2c3e4a14ae275e583d1a3b8b2e28e3be4e0e",
+    ("validate", "cycles_pair", "lex"):
+        "fcb627bb780a65ffa06cd57834a811c1cf4272b333d079895ff400c8ce011e43",
+    ("validate", "cycles_pair", "deglex"):
+        "2f58b36417b17e52646f81b0e5591122ff0469d45670fd34b9390ffd1ff6e1e2",
+    ("validate", "cycles_pair", "rational"):
+        "eb5805adce9bb3f06df0a0cbfb3b5474424d4954d84d5b7be86e1770e760d347",
+    ("validate", "strip3", "lex"):
+        "8d363f46d5e154d4a54f8e5d3a598b5a814eee0490a9878e27cf91d131995660",
+    ("validate", "strip3", "deglex"):
+        "3eac60c57cb92333a6db01678d1611474e7d214be5727a53b6aa0d7f8d91c06f",
+    ("validate", "strip3", "rational"):
+        "db869eeac8c611f9be2f33ea13a5a105d6a110bfed6e0320797bfa3733ee892d",
+    ("validate", "dtree-3-32", "lex"):
+        "d6335bb13fc00521002ec37a64a7f536f084958541e96b6e0de4b9ba9cbcb32c",
+    ("validate", "dtree-3-32", "deglex"):
+        "186df382680a81c79a8b637108c289c07bea9af8843ca500c0944a30bae73e6e",
+    ("validate", "dtree-3-32", "rational"):
+        "69bc3e18471ececa687a56786e8252a2b5b0a49f410f9e96732da0341e772048",
+    ("color", "greduit", "lex"):
+        "16e83aa50de632353ab514ffc07192bda268dde8adf3be50f279c559f4683597",
+    ("color", "greduit", "deglex"):
+        "ab29bbf83520275fc2f5bde91aefafe8b1a364b45ea3457d62df890025059d0b",
+    ("color", "greduit", "rational"):
+        "4abd69e89a02bb156a84ae696dd9ce7952d1beb6865219f45eae441030eb3bc0",
+    ("color", "cycles_pair", "lex"):
+        "8fb70213b75a4dbac92cde69b3380a6c3c60e20a9d224e41bf4fcb1b3c91b329",
+    ("color", "cycles_pair", "deglex"):
+        "2976e733952781795974202aabf0eb94257be70ebfbf6b65370134c6d43ebbbb",
+    ("color", "cycles_pair", "rational"):
+        "58e83c3c7309bb9ed5ab02f3d1b5d9056cfc18864304743e28b3cfd56a6f8535",
+    ("color", "strip3", "lex"):
+        "b3d63969f8f93965ca5f8942fa4e9ccd49dcb3a1236fb2e5e1ecd64981f83a66",
+    ("color", "strip3", "deglex"):
+        "fd6af391e7e4ba1f38d18fde3639d57f5f9e77ffaad2efe2267d409192a9ec79",
+    ("color", "strip3", "rational"):
+        "c66513ef3205bea6166f4909fedb73ecc1a047ace9b91353de01df3ba8f792aa",
+    ("color", "dtree-3-32", "lex"):
+        "9dc94f6baed94e41ffe230df402e61d967c692286be9a3719813a064f4b4b9d0",
+    ("color", "dtree-3-32", "deglex"):
+        "90f54c38e0e461a5ce4391a0dd6764720f6f5b27a4274164bc82bf065cc724b3",
+    ("color", "dtree-3-32", "rational"):
+        "482988027f6c77c9f8f655c14dd56ec66d6215c8a4910ad65599759f78c53cae",
 }
 
 
@@ -224,3 +265,15 @@ def test_the_generated_dtree_is_large_and_extended() -> None:
     assert sum(len(e["points"]) for x in doc["extensions"] for e in x["edges"]) > 0
     report = run("validate", parse_document(doc))
     assert report["complex"]["is_generalized_dtree"] is True
+
+
+def test_the_committed_large_dtree_is_the_generated_one() -> None:
+    # CI compares its reports under python -O; it must stay what the
+    # generator gives, so it can be rebuilt
+    path = Path(__file__).resolve().parent / "data" / "dtree-2-120.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data.pop("comment")
+    assert data == extended_dtree_document(2, 120, seed=7)
+    report = run("validate", parse_document(data))
+    assert report["complex"]["is_generalized_dtree"] is True
+    assert len(report["complex"]["facets"]) == 120

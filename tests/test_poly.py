@@ -245,6 +245,16 @@ def test_packed_monomials_match_the_tuple_reference(data, order, nvars) -> None:
         assert r.lcm(pa, pb) == r.pack(lcm)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), order=st.sampled_from(ORDERS), nvars=st.integers(1, 12))
+def test_joined_names_print_the_square_free_monomial(data, order, nvars) -> None:
+    if order.kind == "elim":
+        nvars += 1
+    r = Ring(tuple(f"x{i}" for i in range(nvars)), PrimeField(), order)
+    ids = sorted(data.draw(st.sets(st.integers(0, nvars - 1))))
+    assert r.join_names(ids) == r.mono_str(r.product(ids))
+
+
 def test_an_elim_ring_extends_its_base_layout() -> None:
     # a base monomial is the same int in the elim ring, t-free there
     for kind in ("lex", "deglex", "degrevlex"):
