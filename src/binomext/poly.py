@@ -6,6 +6,13 @@ from its order (see FIELD_BITS); exponent tuples are met only at the edges:
 `Ring.pack` and `Ring.monomial` take them, `Ring.exponents` returns them, and
 `monomials_of_degree`, the Hilbert numerator and `krull_dimension_lt` work on
 them.
+
+Coefficients are canonical numbers: an int in 0..p-1 over GF(p), a Fraction
+over the rationals. A field gives `of` (the element of a number), `inv`,
+`red` (the canonical value of a sum, difference or product of elements),
+`zero`, `one`, `to_str` and `name`; arithmetic is Python's `+ - *` followed
+by one `red`. Only canonical elements are stored, and zero is the only falsy
+one, so a polynomial never holds a zero coefficient.
 Every operation is deterministic: identical inputs give identical output,
 including generator order inside computed bases.
 """
@@ -81,25 +88,13 @@ class PrimeField:
             return self.of(a.numerator) * self.inv(self.of(a.denominator)) % self.p
         return int(a) % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
+    def red(self, a: int) -> int:
+        return a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.p == 0
 
     zero = 0
     one = 1
@@ -118,25 +113,13 @@ class RationalField:
     def of(self, a) -> Fraction:
         return Fraction(a)
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
+    def red(self, a: Fraction) -> Fraction:
+        return a  # Fraction arithmetic is already in lowest terms
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def is_zero(self, a: Fraction) -> bool:
-        return a == 0
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -312,7 +295,7 @@ class Ring:
     def monomial(self, exps: tuple, coeff=1) -> "Polynomial":
         m = self.pack(exps)
         c = self.field.of(coeff)
-        return Polynomial(self, {} if self.field.is_zero(c) else {m: c})
+        return Polynomial(self, {m: c} if c else {})
 
     def var(self, i: int) -> "Polynomial":
         return Polynomial(self, {self._units[i]: self.field.one})
@@ -377,28 +360,29 @@ class Polynomial:
     def add(self, other: "Polynomial") -> "Polynomial":
         self._same_ring(other)
         f = self.ring.field
+        red, zero = f.red, f.zero
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = f.add(t.get(m, f.zero), c)
-            if f.is_zero(s):
-                t.pop(m, None)
-            else:
+            s = red(t.get(m, zero) + c)
+            if s:
                 t[m] = s
+            else:
+                t.pop(m, None)
         return Polynomial(self.ring, t)
 
     def neg(self) -> "Polynomial":
-        f = self.ring.field
-        return Polynomial(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
+        red = self.ring.field.red
+        return Polynomial(self.ring, {m: red(-c) for m, c in self.terms.items()})
 
     def sub(self, other: "Polynomial") -> "Polynomial":
         return self.add(other.neg())
 
     def mul_term(self, mono: int, coeff) -> "Polynomial":
         f = self.ring.field
-        c0 = f.of(coeff)
-        if f.is_zero(c0):
+        c0, red = f.of(coeff), f.red
+        if not c0:
             return self.ring.zero()
-        terms = {m + mono: f.mul(c, c0) for m, c in self.terms.items()}
+        terms = {m + mono: red(c * c0) for m, c in self.terms.items()}
         self.ring._check_guards(reduce(or_, terms, 0))  # every product at once
         return Polynomial(self.ring, terms)
 
@@ -520,7 +504,7 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
         if g.ring is not ring and g.ring != ring:
             raise OrderMismatch("basis polynomial from a different ring")
     field, key, guards = ring.field, ring.key, ring._guards
-    sub, mul, zero = field.sub, field.mul, field.zero
+    red, zero = field.red, field.zero
     # an S-polynomial of two monomials is zero: skip reading the basis
     lts = [(*g.lt(), g.terms) for g in basis if g.terms] if f.terms else []
     rem = {}
@@ -530,13 +514,13 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
         hg = hm | guards
         for gm, gc, gterms in lts:
             if (hg - gm) & guards == guards:  # gm divides hm
-                q, c = hm - gm, mul(h[hm], field.inv(gc))
+                q, c = hm - gm, red(h[hm] * field.inv(gc))
                 # h -= c * q * g; the leading terms cancel
                 for m, a in gterms.items():
                     p = m + q
                     if p & guards:
                         ring._check_guards(p)
-                    s = sub(h.get(p, zero), mul(a, c))
+                    s = red(h.get(p, zero) - a * c)
                     if s:
                         h[p] = s
                     else:
@@ -552,13 +536,15 @@ def ideal_membership(f: Polynomial, basis: list[Polynomial]) -> bool:
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    fm, fc = f.lt()
-    gm, gc = g.lt()
-    field = f.ring.field
+    """The S-polynomial of f and g.
+
+    Precondition: f and g are monic (as `buchberger` builds its basis), so
+    each is only shifted to the lcm of the two leading monomials.
+    """
+    fm, gm = f.lm(), g.lm()
     l = f.ring.lcm(fm, gm)
-    a = f.mul_term(l - fm, field.inv(fc))
-    b = g.mul_term(l - gm, field.inv(gc))
-    return a.sub(b)
+    one = f.ring.field.one
+    return f.mul_term(l - fm, one).sub(g.mul_term(l - gm, one))
 
 
 def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
@@ -655,12 +641,6 @@ def groebner_basis(generators: list[Polynomial], ring: Ring) -> list[Polynomial]
     return list(memoized(key, lambda: tuple(buchberger(generators, ring))))
 
 
-def groebner_equal(a: list[Polynomial], b: list[Polynomial]) -> bool:
-    """Whether two reduced bases, each listed largest leading monomial first
-    (as `buchberger` and `ideal_intersection` return them), are equal."""
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # elimination / intersection
 
@@ -673,8 +653,8 @@ def _to_elim_ring(p: Polynomial, ext: Ring, side) -> Polynomial:
     top = {m + t: c for m, c in p.terms.items()}  # t * p
     if side == "t":
         return Polynomial(ext, top)
-    neg = ext.field.neg
-    return Polynomial(ext, p.terms | {m: neg(c) for m, c in top.items()})  # (1 - t) * p
+    red = ext.field.red
+    return Polynomial(ext, p.terms | {m: red(-c) for m, c in top.items()})  # (1 - t) * p
 
 
 def ideal_intersection(
@@ -858,8 +838,9 @@ def rref_rows(rows: list[dict[int, object]], ncols: int, field) -> tuple[int, di
     """Reduced row echelon form of sparse rows; returns (rank, pivot -> row).
 
     Exact sparse elimination over any field object, so no characteristic can
-    overflow. Entries must be elements of the field.
+    overflow. Entries must be canonical elements of the field.
     """
+    red, zero = field.red, field.zero
     rows = [r for r in rows if r]
     _bump("rank_rows", len(rows))
     work = [dict(r) for r in rows]
@@ -870,18 +851,18 @@ def rref_rows(rows: list[dict[int, object]], ncols: int, field) -> tuple[int, di
             continue
         row = work.pop(pick)
         inv = field.inv(row[c])
-        row = {j: field.mul(v, inv) for j, v in row.items()}
+        row = {j: red(v * inv) for j, v in row.items()}
         # clear column c from the rows still to be reduced and from the
         # pivot rows already found, so the result is fully reduced
         for r in (*work, *pivrows.values()):
             f = r.get(c)
             if f:
                 for j, v in row.items():
-                    nv = field.sub(r.get(j, field.zero), field.mul(f, v))
-                    if field.is_zero(nv):
-                        r.pop(j, None)
-                    else:
+                    nv = red(r.get(j, zero) - f * v)
+                    if nv:
                         r[j] = nv
+                    else:
+                        r.pop(j, None)
         pivrows[c] = row
         work = [r for r in work if r]
     return len(pivrows), pivrows

@@ -23,7 +23,6 @@ from binomext import (
     dtree_coloration,
     facet_minors,
     g_prime_graph,
-    groebner_equal,
     hilbert_data,
     ideal_intersection_many,
     is_binomial_coloration,
@@ -117,7 +116,7 @@ def test_gate_2_sum_ideal_equals_component_intersection(capsys) -> None:
         gb = buchberger(list(ideal.generators), ring)
         comps = component_ideals(ext, ring)
         inter = ideal_intersection_many([list(c.generators) for c in comps], ring)
-        if not groebner_equal(gb, inter):
+        if gb != inter:
             failures.append(label)
     elapsed = time.monotonic() - started
     ok = not failures and elapsed < 60.0

@@ -343,18 +343,20 @@ def two_tree_less_one_triangle(ntriangles: int, seed: int) -> dict:
     """A random 2-tree of ntriangles triangles with one triangle removed
     that has exactly one edge no other triangle covers; that edge stays as
     a facet. The skeleton is still a 2-tree, but the facets are no clique
-    complex, so they have no leaf order."""
+    complex, so they have no leaf order. A 2-tree without such a triangle
+    (three triangles on one edge, say) is drawn again from the same rng."""
     rng = random.Random(seed)
-    triangles = [(0, 1, 2)]
-    while len(triangles) < ntriangles:
-        a, b = sorted(rng.sample(rng.choice(triangles), 2))
-        triangles.append((a, b, len(triangles) + 2))
     candidates = []
-    for k, t in enumerate(triangles):
-        others = triangles[:k] + triangles[k + 1 :]
-        bare = [e for e in combinations(t, 2) if not any(set(e) <= set(u) for u in others)]
-        if len(bare) == 1:
-            candidates.append((k, bare[0]))
+    while not candidates:
+        triangles = [(0, 1, 2)]
+        while len(triangles) < ntriangles:
+            a, b = sorted(rng.sample(rng.choice(triangles), 2))
+            triangles.append((a, b, len(triangles) + 2))
+        for k, t in enumerate(triangles):
+            others = triangles[:k] + triangles[k + 1 :]
+            bare = [e for e in combinations(t, 2) if not any(set(e) <= set(u) for u in others)]
+            if len(bare) == 1:
+                candidates.append((k, bare[0]))
     k, edge = rng.choice(candidates)
     facets = triangles[:k] + triangles[k + 1 :] + [edge]
     return {"facets": [[f"v{v}" for v in f] for f in facets]}

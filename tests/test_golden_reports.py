@@ -33,6 +33,7 @@ VARIANTS = {
     "lex": {"order": "lex"},
     "deglex": {"order": "deglex"},
     "rational": {"field": "rational"},
+    "large-prime": {"field": 4294967311},
 }
 
 
@@ -89,8 +90,10 @@ GOLDEN = {
 
 
 # Every command under the other two orders over GF(32003), and under
-# degrevlex over the rationals: the monomial layout, the order key and the
-# elimination order's inner order differ per order, and coefficients per field.
+# degrevlex over the rationals and over GF(4294967311), a prime above 2**32:
+# the monomial layout, the order key and the elimination order's inner order
+# differ per order, and coefficients per field. The large-prime digests were
+# captured while each field still carried its own add, sub, mul and neg.
 # The minors print in a term order that depends on the monomial order and the
 # non-faces print the same under every order, so `ideal` pins both printers.
 GOLDEN_VARIANTS = {
@@ -238,6 +241,30 @@ GOLDEN_VARIANTS = {
         "90f54c38e0e461a5ce4391a0dd6764720f6f5b27a4274164bc82bf065cc724b3",
     ("color", "dtree-3-32", "rational"):
         "482988027f6c77c9f8f655c14dd56ec66d6215c8a4910ad65599759f78c53cae",
+    ("decompose", "greduit", "large-prime"):
+        "285da2d13018d6cfdccce34d53d6582fdd7fc9382d2f18e9dc31112f3b6353d5",
+    ("decompose", "cycles_pair", "large-prime"):
+        "9b4434efda06ca108648ef232a2b8c88b44e5345681657325d15254911e24948",
+    ("decompose", "strip3", "large-prime"):
+        "961d54b530498d89d415752ff57385768e3c4e5006e660295dc0371a57675551",
+    ("hilbert", "greduit", "large-prime"):
+        "581f72fb9015546275587228082aa694e2a7633347816003ba24cdb9d1e791aa",
+    ("hilbert", "cycles_pair", "large-prime"):
+        "4b3bf9fa1f8d4f2cdbff6917763c59fdf30f8f21440bdf1ed0496ec78d5502a0",
+    ("hilbert", "strip3", "large-prime"):
+        "69bebfc63ca6da36d31ae69d08331575dad1e25d3ae3476c37d79e98bf5fe671",
+    ("reduce", "greduit", "large-prime"):
+        "99fb1207d8f3758b4e2d36d5490ddcf31eb3faa9010ad78f2472f07da21ed2a1",
+    ("reduce", "cycles_pair", "large-prime"):
+        "430067d43e8e360e002c548b83805e6977b0a00bc1058405d8746e12dc35c6eb",
+    ("reduce", "strip3", "large-prime"):
+        "a3cd39f74218009d9b641f4f08db7ca69b9c81aaacc499e1fa8686ecd595ab55",
+    ("oracle", "greduit", "large-prime"):
+        "11751ccc684ec4ad0098fb4ea9e3d359d2ec0df138896e99481342a524848253",
+    ("oracle", "cycles_pair", "large-prime"):
+        "e946d6fc601402ce95e15e84b3ed8877a74e69883a2d2dd6f895889430b5b6a0",
+    ("oracle", "strip3", "large-prime"):
+        "e167ce198243cb17b9ac2811def55a7f9cb5d255cfc60c45291d14274972208d",
 }
 
 

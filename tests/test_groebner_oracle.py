@@ -70,7 +70,7 @@ def _monic(terms: dict, field) -> frozenset:
     # caller passes terms with the leading coefficient first
     lead = next(iter(terms.values()))
     inv = field.inv(lead)
-    return frozenset((m, field.mul(c, inv)) for m, c in terms.items())
+    return frozenset((m, field.red(c * inv)) for m, c in terms.items())
 
 
 def _ring(nvars: int, field, order: str) -> Ring:
