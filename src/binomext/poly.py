@@ -4,8 +4,8 @@ monomial orders, reduced Groebner bases, elimination, and Hilbert data.
 Monomials are packed into one int each, in a layout that the Ring fixes
 from its order (see FIELD_BITS); exponent tuples are met only at the edges:
 `Ring.pack` and `Ring.monomial` take them, `Ring.exponents` returns them, and
-`monomials_of_degree`, the Hilbert numerator and `krull_dimension_lt` work on
-them.
+of the algorithms only `monomials_of_degree` and `krull_dimension_lt` still
+take them.
 
 Coefficients are canonical numbers: an int in 0..p-1 over GF(p), a Fraction
 over the rationals. A field gives `of` (the element of a number), `inv`,
@@ -18,13 +18,14 @@ including generator order inside computed bases.
 """
 from __future__ import annotations
 
+from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 from operator import or_
 
 
@@ -571,10 +572,25 @@ def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
 def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[Polynomial]:
     """Unique reduced monic Groebner basis, independent of generator order.
 
+    Every element, generators included, enters through Becker &
+    Weispfenning's UPDATE, their form of Gebauer & Moeller's installation
+    (Gebauer & Moeller, "On an installation of Buchberger's algorithm", JSC
+    1988; Becker & Weispfenning, Groebner Bases, 1993, 5.5). The new element
+    h pairs with every live element, one whose leading monomial no later
+    element divides. In that candidate order, criteria M and F drop a pair
+    when a later candidate or a kept one has an lcm dividing its own. A
+    trivial pair, one with coprime leading monomials or one between two
+    monomials, has an S-polynomial that reduces to zero: it is kept only
+    long enough to drop others, then dropped. Criterion B_k drops each
+    pending pair (i, j) whose lcm lm(h) divides and differs from lcm(i, h)
+    and lcm(j, h). Last, the elements whose leading monomial lm(h) divides
+    stop being live. The lcm of every candidate pair is formed, so an lcm
+    past MAX_EXPONENT raises.
+
     Normal selection: pending pairs sit in a heap keyed, once when the pair
     is created, by (lcm degree, lcm order key, indices), so pairs leave it
-    smallest lcm first with ties broken by index. Applies the coprimality
-    criterion and the chain criterion over treated pairs.
+    smallest lcm first with ties broken by index. The counter `s_pairs`
+    counts the pairs whose S-polynomial is reduced.
     """
     gens = [g for g in generators if not g.is_zero()]
     if ring is None:
@@ -584,53 +600,60 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     for g in gens:
         if g.ring != ring:
             raise OrderMismatch("generator from a different ring")
+    degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
+    basis: list[Polynomial] = []
+    lms: list[int] = []
+    live: list[int] = []
+    queue: list[tuple] = []
+
+    def install(h: Polynomial) -> None:
+        nonlocal live, queue
+        n, hm, hmono = len(basis), h.lm(), len(h.terms) == 1
+        basis.append(h)
+        lms.append(hm)
+        cands = []  # (lcm, i, trivial)
+        for i in live:
+            l = lcm(lms[i], hm)
+            cands.append((l, i, l == lms[i] + hm or hmono and len(basis[i].terms) == 1))
+        kept = []  # criteria M and F
+        for c, cand in enumerate(cands):
+            l, _, trivial = cand
+            lg = l | guards
+            if trivial or not any(
+                (lg - e[0]) & guards == guards for e in chain(islice(cands, c + 1, None), kept)
+            ):
+                kept.append(cand)
+        gone = set()  # criterion B_k
+        for _, _, (i, j), l in queue:
+            if (
+                ((l | guards) - hm) & guards == guards
+                and lcm(lms[i], hm) != l
+                and lcm(lms[j], hm) != l
+            ):
+                gone.add((i, j))
+        if gone:
+            queue = [e for e in queue if e[2] not in gone]
+            heapify(queue)
+        for l, i, trivial in kept:
+            if not trivial:
+                # (i, n) is unique, so the lcm in the last slot is never compared
+                heappush(queue, (degree(l), key(l), (i, n), l))
+        live = [i for i in live if ((lms[i] | guards) - hm) & guards != guards]
+        live.append(n)
+
     # progressive reduction keeps the ideal intact (unlike dropping a
     # generator because its leading term repeats, which is only sound
     # once the list is a Groebner basis)
-    basis: list[Polynomial] = []
     for g in sorted(gens, key=lambda p: p.sort_key()):
         r = normal_form(g, basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-    if not basis:
-        return []
-
-    degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
-    lms = [p.lm() for p in basis]
-
-    def pair(i: int, j: int) -> tuple:
-        # (i, j) is unique, so the lcm in the last slot is never compared
-        l = lcm(lms[i], lms[j])
-        return (degree(l), key(l), (i, j), l)
-
-    queue = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    heapify(queue)
-    # a pair leaves the queue exactly once, so a treated pair is never pending
-    treated: set[tuple[int, int]] = set()
+        if r.terms:
+            install(r.monic())
     while queue:
-        _, _, (i, j), l = heappop(queue)
-        treated.add((i, j))
+        _, _, (i, j), _ = heappop(queue)
         _bump("s_pairs")
-        if l == lms[i] + lms[j]:
-            continue  # coprime leading terms
-        lg = l | guards
-        if any(
-            k != i
-            and k != j
-            and (lg - lk) & guards == guards
-            and (min(i, k), max(i, k)) in treated
-            and (min(j, k), max(j, k)) in treated
-            for k, lk in enumerate(lms)
-        ):
-            continue  # chain criterion
         r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
-            continue
-        basis.append(r.monic())
-        lms.append(basis[-1].lm())
-        n = len(basis) - 1
-        for k in range(n):
-            heappush(queue, pair(k, n))
+        if r.terms:
+            install(r.monic())
     return _interreduce(basis)
 
 
@@ -714,53 +737,77 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _minimalize(monos) -> tuple[tuple, ...]:
-    ms = sorted(set(monos), key=lambda m: (sum(m), m))
-    out: list[tuple] = []
-    for m in ms:
-        if not any(all(y <= x for x, y in zip(m, q)) for q in out):
+def _minimalize(monos, guards: int) -> tuple[int, ...]:
+    """The minimal generators of the ideal of packed monomials, ascending.
+
+    A divisor of m is m less a monomial, so never a larger int: one ascending
+    pass keeps each monomial that no kept one divides.
+    """
+    out: list[int] = []
+    for m in sorted(set(monos)):
+        mg = m | guards
+        if not any((mg - q) & guards == guards for q in out):
             out.append(m)
     return tuple(out)
 
 
-def _hilbert_numerator(gens: tuple[tuple, ...], memo: dict) -> tuple[int, ...]:
+def _hilbert_numerator(gens: tuple[int, ...], ring: Ring, memo: dict) -> tuple[int, ...]:
+    """Numerator over (1-t)^nvars of the Hilbert series of R/(gens), for
+    minimal packed monomials gens in ascending order.
+
+    Pivots on the variable x_v in the most supports, ties to the lowest v:
+    N(I) = N(I + x_v) + t N(I : x_v) (Bigatti, Computation of
+    Hilbert-Poincare series, JPAA 1997).
+    """
     if not gens:
         return (1,)
     if gens in memo:
         return memo[gens]
-    coprime = all(
-        not any(x and y for x, y in zip(a, b)) for a, b in combinations(gens, 2)
-    )
-    if coprime:
+    guards, xmask = ring._guards, ring._xmask
+    # the guard of each field survives (m | guards) - 1 exactly where m's
+    # exponent is positive; the degree field's guard is masked off
+    ones = guards >> FIELD_BITS - 1
+    sups = [((m | guards) - ones) & guards & xmask for m in gens]
+    union = 0
+    for s in sups:
+        if s & union:
+            break
+        union |= s
+    else:
+        # pairwise coprime: the product of the (1 - t^deg m)
         out = (1,)
         for m in gens:
-            factor = [1] + [0] * (sum(m) - 1) + [-1]
-            out = _poly_mul(out, tuple(factor))
+            d = (m & xmask) % _FIELD  # the sum of the exponent fields
+            out = _poly_mul(out, (1,) + (0,) * (d - 1) + (-1,))
         memo[gens] = out
         return out
-    n = len(gens[0])
-    counts = [sum(1 for m in gens if m[v] > 0) for v in range(n)]
-    pivot = max(range(n), key=lambda v: (counts[v], -v))
-    plus = _minimalize(
-        [m for m in gens if m[pivot] == 0]
-        + [tuple(1 if v == pivot else 0 for v in range(n))]
-    )
-    quot = _minimalize(
-        tuple(e - 1 if v == pivot else e for v, e in enumerate(m)) if m[pivot] > 0 else m
-        for m in gens
-    )
+    counts: dict[int, int] = {}  # guard bit -> supports holding it
+    for s in sups:
+        while s:
+            bit = s & -s
+            counts[bit] = counts.get(bit, 0) + 1
+            s ^= bit
+    var_at = ring._var_at
+    bits = {var_at[b.bit_length() // FIELD_BITS - 1]: b for b in counts}
+    v = max(bits, key=lambda v: (counts[bits[v]], -v))
+    bit, u = bits[v], ring._units[v]
+    # I + x_v is already minimal: no other generator holds x_v
+    plus = [m for m, s in zip(gens, sups) if not s & bit]
+    insort(plus, u)
+    quot = _minimalize([m - u if s & bit else m for m, s in zip(gens, sups)], guards)
     out = _poly_add(
-        _hilbert_numerator(plus, memo), _poly_shift(_hilbert_numerator(quot, memo), 1)
+        _hilbert_numerator(tuple(plus), ring, memo),
+        _poly_shift(_hilbert_numerator(quot, ring, memo), 1),
     )
     memo[gens] = out
     return out
 
 
 def hilbert_data(gb: list[Polynomial], ring: Ring) -> HilbertData:
-    gens = _minimalize([ring.exponents(g.lm()) for g in gb])
-    if any(sum(m) == 0 for m in gens):
+    gens = _minimalize([g.lm() for g in gb], ring._guards)
+    if 0 in gens:
         raise ValueError("unit ideal has no Hilbert data")
-    trim = list(_hilbert_numerator(gens, {}))
+    trim = list(_hilbert_numerator(gens, ring, {}))
     while trim and trim[-1] == 0:
         trim = trim[:-1]
     num = tuple(trim) if trim else (0,)

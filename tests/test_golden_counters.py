@@ -1,6 +1,6 @@
 """Pinned work counters of the Groebner-heavy commands.
 
-The counters (S-pairs taken from the queue, normal forms, rank rows) and the
+The counters (S-pairs reduced, normal forms, rank rows) and the
 basis sizes are fixed by the S-pair sequence and by the run memo, which
 computes each basis and graded coverage once per run, so any change to pair
 selection, to the pair criteria or to what a run recomputes shows up here
@@ -10,10 +10,15 @@ why.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from binomext.cli import parse_document, parse_input, run
-from conftest import FIXTURES
+from conftest import FIXTURES, extended_dtree_document
+
+DTREE = Path(__file__).resolve().parent / "data" / "dtree-2-16.json"
 
 
 def strip_document(n: int) -> dict:
@@ -28,37 +33,44 @@ def strip_document(n: int) -> dict:
     }
 
 
+# Set when Buchberger's pair loop became the Gebauer-Moeller installation:
+# s_pairs counts only the pairs whose S-polynomial is reduced, and the pairs
+# that criteria M, F and B_k drop no longer cost a normal form; every report
+# stayed byte-identical outside `timing`.
 GOLDEN = {
     ("decompose", "greduit"): {
-        "normal_forms": 20, "s_pairs": 15, "groebner_size": 6, "intersection_size": 6
+        "normal_forms": 20, "s_pairs": 8, "groebner_size": 6, "intersection_size": 6
     },
-    ("hilbert", "greduit"): {"normal_forms": 20, "s_pairs": 15},
-    ("reduce", "greduit"): {"normal_forms": 48, "rank_rows": 34, "s_pairs": 60},
-    ("oracle", "greduit"): {"normal_forms": 97, "rank_rows": 34, "s_pairs": 60},
+    ("hilbert", "greduit"): {"normal_forms": 20, "s_pairs": 8},
+    ("reduce", "greduit"): {"normal_forms": 40, "rank_rows": 34, "s_pairs": 8},
+    ("oracle", "greduit"): {"normal_forms": 89, "rank_rows": 34, "s_pairs": 8},
     ("decompose", "greduit1"): {
-        "normal_forms": 871, "s_pairs": 2634, "groebner_size": 36, "intersection_size": 36
+        "normal_forms": 428, "s_pairs": 180, "groebner_size": 36, "intersection_size": 36
     },
-    ("hilbert", "greduit1"): {"normal_forms": 303, "s_pairs": 742},
-    ("reduce", "greduit1"): {"normal_forms": 485, "rank_rows": 37, "s_pairs": 1371},
-    ("oracle", "greduit1"): {"normal_forms": 1395, "rank_rows": 37, "s_pairs": 3459},
+    ("hilbert", "greduit1"): {"normal_forms": 164, "s_pairs": 28},
+    ("reduce", "greduit1"): {"normal_forms": 186, "rank_rows": 37, "s_pairs": 36},
+    ("oracle", "greduit1"): {"normal_forms": 792, "rank_rows": 37, "s_pairs": 188},
     ("decompose", "cycles_pair"): {
-        "normal_forms": 63, "s_pairs": 73, "groebner_size": 6, "intersection_size": 6
+        "normal_forms": 50, "s_pairs": 16, "groebner_size": 6, "intersection_size": 6
     },
-    ("hilbert", "cycles_pair"): {"normal_forms": 32, "s_pairs": 21},
-    ("reduce", "cycles_pair"): {"normal_forms": 46, "rank_rows": 20, "s_pairs": 51},
-    ("oracle", "cycles_pair"): {"normal_forms": 138, "rank_rows": 20, "s_pairs": 112},
+    ("hilbert", "cycles_pair"): {"normal_forms": 28, "s_pairs": 4},
+    ("reduce", "cycles_pair"): {"normal_forms": 37, "rank_rows": 20, "s_pairs": 7},
+    ("oracle", "cycles_pair"): {"normal_forms": 120, "rank_rows": 20, "s_pairs": 19},
     ("decompose", "cycles_full"): {
-        "normal_forms": 793, "s_pairs": 2147, "groebner_size": 27, "intersection_size": 27
+        "normal_forms": 499, "s_pairs": 256, "groebner_size": 27, "intersection_size": 27
     },
-    ("hilbert", "cycles_full"): {"normal_forms": 222, "s_pairs": 449},
-    ("reduce", "cycles_full"): {"normal_forms": 323, "rank_rows": 168, "s_pairs": 786},
-    ("oracle", "cycles_full"): {"normal_forms": 1417, "rank_rows": 168, "s_pairs": 2658},
+    ("hilbert", "cycles_full"): {"normal_forms": 152, "s_pairs": 38},
+    ("reduce", "cycles_full"): {"normal_forms": 175, "rank_rows": 168, "s_pairs": 61},
+    ("oracle", "cycles_full"): {"normal_forms": 1045, "rank_rows": 168, "s_pairs": 289},
     ("decompose", "strip3"): {
-        "normal_forms": 238, "s_pairs": 437, "groebner_size": 15, "intersection_size": 15
+        "normal_forms": 154, "s_pairs": 58, "groebner_size": 15, "intersection_size": 15
     },
-    ("hilbert", "strip3"): {"normal_forms": 100, "s_pairs": 135},
-    ("reduce", "strip3"): {"normal_forms": 146, "rank_rows": 27, "s_pairs": 258},
-    ("oracle", "strip3"): {"normal_forms": 427, "rank_rows": 27, "s_pairs": 610},
+    ("hilbert", "strip3"): {"normal_forms": 72, "s_pairs": 12},
+    ("reduce", "strip3"): {"normal_forms": 78, "rank_rows": 27, "s_pairs": 12},
+    ("oracle", "strip3"): {"normal_forms": 303, "rank_rows": 27, "s_pairs": 58},
+    # a 16-facet extended 2-tree: losing a pair criterion shows here as a
+    # count, where elsewhere it shows only as a slower run
+    ("hilbert", "dtree-2-16"): {"normal_forms": 2550, "s_pairs": 646},
 }
 
 
@@ -66,6 +78,8 @@ GOLDEN = {
 def test_work_counters_are_pinned(command: str, instance: str) -> None:
     if instance == "strip3":
         doc = parse_document(strip_document(3))
+    elif instance == "dtree-2-16":
+        doc = parse_input(str(DTREE))
     else:
         doc = parse_input(str(FIXTURES / f"{instance}.json"))
     report = run(command, doc)
@@ -74,3 +88,11 @@ def test_work_counters_are_pinned(command: str, instance: str) -> None:
         got["groebner_size"] = report["components"]["groebner_size"]
         got["intersection_size"] = report["components"]["intersection_size"]
     assert got == GOLDEN[command, instance]
+
+
+def test_the_committed_dtree_is_the_generated_one() -> None:
+    # CI also runs `hilbert` on it under python -O; it must stay what the
+    # generator gives, so it can be rebuilt
+    data = json.loads(DTREE.read_text(encoding="utf-8"))
+    data.pop("comment")
+    assert data == extended_dtree_document(2, 16, seed=7)

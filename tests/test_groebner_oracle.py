@@ -1,24 +1,30 @@
-"""Reduced Groebner bases checked against an independent implementation.
+"""Reduced Groebner bases checked against independent implementations.
 
 sympy's `groebner` is the oracle: for random monomial and binomial ideals in
 two to five variables, under each of the three orders and over GF(32003)
-and the rationals, `buchberger` must return the same reduced monic basis, and
-`ideal_intersection` (on pairs of homogeneous such ideals) the same basis of
-I cap J as sympy's own elimination of t. The one-pass `_interreduce` must
-turn any monic Groebner basis with redundant members back into the reduced
-basis. `hilbert_data` must count, degree by degree, the monomials outside
-the leading ideal of sympy's basis. sympy is a test-only dependency; the
-module is skipped without it.
+and the rationals, `buchberger` must return the same reduced monic basis.
+`ideal_intersection` must return the same basis of I cap J as sympy's own
+elimination of t: on homogeneous pairs of such ideals under every order and
+field, on inhomogeneous pairs over GF(32003) under deglex and degrevlex, and
+on one inhomogeneous pair under lex. `chain_criterion_buchberger`, the
+engine's earlier pair loop (a treated-pair set and a chain-criterion scan per
+pair), is the reference for the Gebauer-Moeller installation, in the base
+rings and in the elimination ring of `ideal_intersection`. The one-pass
+`_interreduce` must turn any monic Groebner basis with redundant members back
+into the reduced basis. `hilbert_data` must count, degree by degree, the
+monomials outside the leading ideal of sympy's basis. sympy is a test-only
+dependency; the module is skipped without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomext.poly import (
@@ -27,10 +33,13 @@ from binomext.poly import (
     RationalField,
     Ring,
     _interreduce,
+    _s_polynomial,
+    _to_elim_ring,
     buchberger,
     hilbert_data,
     ideal_intersection,
     krull_dimension_lt,
+    normal_form,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -129,6 +138,113 @@ def _from_sympy(basis, field, order: str) -> set:
     return out
 
 
+def chain_criterion_buchberger(generators: list, ring: Ring) -> list:
+    """The reduced basis by the engine's earlier pair loop: every pair of
+    basis elements is queued, and a popped pair is skipped by the coprime
+    criterion or by the chain criterion over the treated pairs."""
+    basis = []
+    for g in sorted((g for g in generators if g.terms), key=lambda p: p.sort_key()):
+        r = normal_form(g, basis)
+        if r.terms:
+            basis.append(r.monic())
+    if not basis:
+        return []
+    degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
+    lms = [p.lm() for p in basis]
+
+    def pair(i: int, j: int) -> tuple:
+        l = lcm(lms[i], lms[j])
+        return (degree(l), key(l), (i, j), l)
+
+    queue = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(queue)
+    treated = set()
+    while queue:
+        _, _, (i, j), l = heappop(queue)
+        treated.add((i, j))
+        if l == lms[i] + lms[j]:
+            continue
+        lg = l | guards
+        if any(
+            k != i
+            and k != j
+            and (lg - lk) & guards == guards
+            and (min(i, k), max(i, k)) in treated
+            and (min(j, k), max(j, k)) in treated
+            for k, lk in enumerate(lms)
+        ):
+            continue
+        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
+        if r.terms:
+            basis.append(r.monic())
+            lms.append(basis[-1].lm())
+            n = len(basis) - 1
+            for k in range(n):
+                heappush(queue, pair(k, n))
+    return _interreduce(basis)
+
+
+ALL_SETTINGS = tuple(
+    (field, order) for field in (PrimeField(P), RationalField()) for order in SYMPY_ORDER
+)
+# an elimination of inhomogeneous ideals runs under the normal selection
+# strategy, which can take minutes under lex (over GF(32003)) or over the
+# rationals, as coefficients and degrees grow; sympy takes well under a second
+INHOMOGENEOUS_SETTINGS = ((PrimeField(P), "deglex"), (PrimeField(P), "degrevlex"))
+
+
+@st.composite
+def ideal_pairs(draw) -> tuple:
+    """(nvars, I, J, settings): two ideals of `ideals`, homogeneous or not,
+    and the (field, order) settings under which to eliminate t from
+    t*I + (1-t)*J; a homogeneous pair gets all six."""
+    homogeneous = draw(st.booleans())
+    nvars, i_gens = draw(ideals(homogeneous=homogeneous))
+    _, j_gens = draw(ideals(nvars=nvars, homogeneous=homogeneous))
+    return nvars, i_gens, j_gens, ALL_SETTINGS if homogeneous else INHOMOGENEOUS_SETTINGS
+
+
+# an inhomogeneous intersection under lex on which the chain-criterion loop
+# took minutes over GF(32003)
+LEX_INTERSECTION = (
+    4,
+    [
+        [((2, 0, 0, 1), -3), ((1, 0, 0, 1), 2)],
+        [((1, 1, 1, 0), 2), ((0, 0, 0, 1), -2)],
+        [((1, 1, 0, 1), -2), ((0, 0, 1, 0), 2)],
+    ],
+    [
+        [((0, 1, 1, 1), 2), ((1, 0, 0, 2), -2)],
+        [((1, 1, 0, 1), 1), ((0, 2, 0, 0), -3)],
+    ],
+    tuple((PrimeField(P), order) for order in SYMPY_ORDER),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=ideal_pairs())
+def test_pair_installation_matches_the_chain_criterion_reference(pair) -> None:
+    # I alone under every setting, then t*I + (1-t)*J in the elimination
+    # ring that ideal_intersection builds, under the pair's settings
+    nvars, i_gens, j_gens, elim_settings = pair
+    for field, order in ALL_SETTINGS:
+        ring = _ring(nvars, field, order)
+        gens = _polys(ring, i_gens)
+        assert buchberger(gens, ring) == chain_criterion_buchberger(gens, ring), (
+            field.name,
+            order,
+        )
+    for field, order in elim_settings:
+        ring = _ring(nvars, field, order)
+        ext = Ring(("@t",) + ring.names, field, MonomialOrder("elim", order))
+        elim = [_to_elim_ring(p, ext, "t") for p in _polys(ring, i_gens)]
+        elim += [_to_elim_ring(p, ext, "1-t") for p in _polys(ring, j_gens)]
+        assert buchberger(elim, ext) == chain_criterion_buchberger(elim, ext), (
+            field.name,
+            order,
+        )
+
+
 @settings(max_examples=150, deadline=None)
 @given(ideal=ideals())
 def test_reduced_basis_matches_sympy(ideal) -> None:
@@ -153,19 +269,16 @@ def theirs_intersection(nvars: int, i_gens, j_gens, field, order: str) -> set:
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_intersection_matches_sympy_elimination(data) -> None:
-    # the program intersects only homogeneous ideals (monomials and scroll
-    # minors); an inhomogeneous elimination under lex can run for minutes
-    nvars, i_gens = data.draw(ideals(homogeneous=True))
-    _, j_gens = data.draw(ideals(nvars=nvars, homogeneous=True))
-    for field in (PrimeField(P), RationalField()):
-        for order in SYMPY_ORDER:
-            ring = _ring(nvars, field, order)
-            got = ideal_intersection(_polys(ring, i_gens), _polys(ring, j_gens), ring)
-            assert _as_set(got, field) == theirs_intersection(
-                nvars, i_gens, j_gens, field, order
-            ), (field.name, order)
+@given(pair=ideal_pairs())
+@example(pair=LEX_INTERSECTION)
+def test_intersection_matches_sympy_elimination(pair) -> None:
+    nvars, i_gens, j_gens, pair_settings = pair
+    for field, order in pair_settings:
+        ring = _ring(nvars, field, order)
+        got = ideal_intersection(_polys(ring, i_gens), _polys(ring, j_gens), ring)
+        assert _as_set(got, field) == theirs_intersection(
+            nvars, i_gens, j_gens, field, order
+        ), (field.name, order)
 
 
 @settings(max_examples=150, deadline=None)

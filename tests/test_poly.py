@@ -667,6 +667,75 @@ def test_zero_ideal_dimension() -> None:
     assert hd.dimension == 3 and hd.codimension == 0 and hd.degree == 1
 
 
+def tuple_minimalize(monos) -> tuple[tuple, ...]:
+    """The engine's earlier minimal generators, on exponent tuples."""
+    ms = sorted(set(monos), key=lambda m: (sum(m), m))
+    out: list[tuple] = []
+    for m in ms:
+        if not any(all(y <= x for x, y in zip(m, q)) for q in out):
+            out.append(m)
+    return tuple(out)
+
+
+def tuple_hilbert_numerator(gens: tuple[tuple, ...], memo: dict) -> tuple[int, ...]:
+    """The engine's earlier Hilbert numerator, on exponent tuples."""
+    if not gens:
+        return (1,)
+    if gens in memo:
+        return memo[gens]
+    coprime = all(
+        not any(x and y for x, y in zip(a, b)) for a, b in combinations(gens, 2)
+    )
+    if coprime:
+        out = (1,)
+        for m in gens:
+            factor = [1] + [0] * (sum(m) - 1) + [-1]
+            out = poly._poly_mul(out, tuple(factor))
+        memo[gens] = out
+        return out
+    n = len(gens[0])
+    counts = [sum(1 for m in gens if m[v] > 0) for v in range(n)]
+    pivot = max(range(n), key=lambda v: (counts[v], -v))
+    plus = tuple_minimalize(
+        [m for m in gens if m[pivot] == 0]
+        + [tuple(1 if v == pivot else 0 for v in range(n))]
+    )
+    quot = tuple_minimalize(
+        tuple(e - 1 if v == pivot else e for v, e in enumerate(m)) if m[pivot] > 0 else m
+        for m in gens
+    )
+    out = poly._poly_add(
+        tuple_hilbert_numerator(plus, memo),
+        poly._poly_shift(tuple_hilbert_numerator(quot, memo), 1),
+    )
+    memo[gens] = out
+    return out
+
+
+@st.composite
+def monomial_ideals(draw) -> tuple:
+    """(nvars, exponent tuples): nonconstant monomials with exponents 0-3,
+    then repeats and multiples of them, which are redundant generators."""
+    nvars = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    gens = draw(st.lists(exps.filter(any), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        g, extra = draw(st.sampled_from(gens)), draw(exps)
+        gens.append(tuple(a + b for a, b in zip(g, extra)))
+    return nvars, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal=monomial_ideals(), order=st.sampled_from(["lex", "deglex", "degrevlex"]))
+def test_packed_hilbert_numerator_matches_the_tuple_reference(ideal, order: str) -> None:
+    nvars, gens = ideal
+    r = Ring(tuple(f"x{i}" for i in range(nvars)), PrimeField(), MonomialOrder(order))
+    packed = poly._minimalize([r.pack(g) for g in gens], r._guards)
+    minimal = tuple_minimalize(gens)
+    assert sorted(map(r.exponents, packed)) == sorted(minimal)
+    assert poly._hilbert_numerator(packed, r, {}) == tuple_hilbert_numerator(minimal, {})
+
+
 # ---------------------------------------------------------------------------
 # linear algebra helpers
 
