@@ -4,8 +4,7 @@ monomial orders, reduced Groebner bases, elimination, and Hilbert data.
 Monomials are packed into one int each, in a layout that the Ring fixes
 from its order (see FIELD_BITS); exponent tuples are met only at the edges:
 `Ring.pack` and `Ring.monomial` take them, `Ring.exponents` returns them, and
-of the algorithms only `monomials_of_degree` and `krull_dimension_lt` still
-take them.
+of the algorithms only `monomials_of_degree` still takes them.
 
 Coefficients are canonical numbers: an int in 0..p-1 over GF(p), a Fraction
 over the rationals. A field gives `of` (the element of a number), `inv`,
@@ -497,23 +496,36 @@ def memoized(key, compute):
     return memo[key]
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
-    """Remainder of multivariate division of f by basis (in listed order)."""
-    _bump("normal_forms")
-    ring = f.ring
+def division_table(basis: list[Polynomial], ring: Ring) -> list[tuple]:
+    """(leading monomial, leading coefficient, terms) of each nonzero element
+    of basis, in listed order: what `normal_form` divides by. Built once per
+    basis, so the ring of each element is checked once."""
     for g in basis:
         if g.ring is not ring and g.ring != ring:
             raise OrderMismatch("basis polynomial from a different ring")
+    return [(*g.lt(), g.terms) for g in basis if g.terms]
+
+
+def normal_form(
+    f: Polynomial, basis: list[Polynomial], table: list[tuple] | None = None
+) -> Polynomial:
+    """Remainder of multivariate division of f by basis (in listed order).
+
+    A caller that divides many polynomials by one basis passes its
+    `division_table(basis, f.ring)` as table, which then stands for basis.
+    """
+    _bump("normal_forms")
+    ring = f.ring
+    if table is None:
+        table = division_table(basis, ring)
     field, key, guards = ring.field, ring.key, ring._guards
     red, zero = field.red, field.zero
-    # an S-polynomial of two monomials is zero: skip reading the basis
-    lts = [(*g.lt(), g.terms) for g in basis if g.terms] if f.terms else []
     rem = {}
     h = dict(f.terms)
     while h:
         hm = max(h, key=key)
         hg = hm | guards
-        for gm, gc, gterms in lts:
+        for gm, gc, gterms in table:
             if (hg - gm) & guards == guards:  # gm divides hm
                 q, c = hm - gm, red(h[hm] * field.inv(gc))
                 # h -= c * q * g; the leading terms cancel
@@ -558,14 +570,17 @@ def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
     an already kept (and already reduced) element can divide it.
     """
     kept: list[Polynomial] = []
+    table: list[tuple] = []  # division_table(kept)
     if not gb:
         return kept
     ring = gb[0].ring
     key, guards = ring.key, ring._guards
     for p in sorted(gb, key=lambda p: key(p.lm())):
         pg = p.lm() | guards
-        if not any((pg - q.lm()) & guards == guards for q in kept):
-            kept.append(normal_form(p, kept))
+        if not any((pg - q[0]) & guards == guards for q in table):
+            r = normal_form(p, kept, table)
+            kept.append(r)
+            table.append((*r.lt(), r.terms))
     return kept[::-1]
 
 
@@ -602,6 +617,7 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
             raise OrderMismatch("generator from a different ring")
     degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
     basis: list[Polynomial] = []
+    table: list[tuple] = []  # division_table(basis)
     lms: list[int] = []
     live: list[int] = []
     queue: list[tuple] = []
@@ -610,6 +626,7 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
         nonlocal live, queue
         n, hm, hmono = len(basis), h.lm(), len(h.terms) == 1
         basis.append(h)
+        table.append((*h.lt(), h.terms))
         lms.append(hm)
         cands = []  # (lcm, i, trivial)
         for i in live:
@@ -645,13 +662,13 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     # generator because its leading term repeats, which is only sound
     # once the list is a Groebner basis)
     for g in sorted(gens, key=lambda p: p.sort_key()):
-        r = normal_form(g, basis)
+        r = normal_form(g, basis, table)
         if r.terms:
             install(r.monic())
     while queue:
         _, _, (i, j), _ = heappop(queue)
         _bump("s_pairs")
-        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
+        r = normal_form(_s_polynomial(basis[i], basis[j]), basis, table)
         if r.terms:
             install(r.monic())
     return _interreduce(basis)
@@ -833,37 +850,76 @@ def hilbert_data(gb: list[Polynomial], ring: Ring) -> HilbertData:
 
 
 def krull_dimension_lt(gb: list[Polynomial], ring: Ring) -> int:
-    """Largest variable set supporting no leading monomial (independent set)."""
-    supports = _minimal_supports([ring.exponents(g.lm()) for g in gb])
-    if any(not s for s in supports):
+    """dim R/lt(I): the size of the largest variable set that holds the
+    support of no leading monomial (a maximal independent set; Kredel &
+    Weispfenning, "Computing dimension and independent sets for polynomial
+    ideals", JSC 1988).
+
+    A support is the set of guard bits of the fields where the monomial's
+    exponent is positive. Sets grow one variable at a time in a fixed
+    candidate order, each new variable tested only against the supports
+    that hold it; a branch stops when its size plus the candidates left
+    cannot beat the best set found.
+    """
+    guards = ring._guards
+    ones = guards >> FIELD_BITS - 1
+    keep = guards & ring._xmask
+    sups = {((g.lm() | guards) - ones) & keep for g in gb}
+    if 0 in sups:
         raise ValueError("unit ideal has no dimension")
-    return ring.nvars - _min_hitting_set(supports)
+    bits = [1 << s + FIELD_BITS - 1 for s in ring._shifts]
+    holding = {v: [s for s in sups if s & v] for v in bits}
+    # a variable in no support joins every maximal set
+    free = sum(not holding[v] for v in bits)
+    cands = [v for v in bits if holding[v]]
+    best = 0
 
-
-def _minimal_supports(monos) -> list[frozenset[int]]:
-    sups = {frozenset(i for i, e in enumerate(m) if e) for m in monos}
-    return [s for s in sups if not any(t < s for t in sups)]
-
-
-def _min_hitting_set(supports: list[frozenset[int]]) -> int:
-    if not supports:
-        return 0
-    best = len(frozenset().union(*supports))
-
-    def dfs(hit: frozenset[int], size: int) -> None:
+    def grow(chosen: int, size: int, rest: list[int]) -> None:
         nonlocal best
-        if size >= best:
-            return
-        left = [s for s in supports if not (s & hit)]
-        if not left:
-            best = size
-            return
-        s = min(left, key=lambda t: (len(t), sorted(t)))
-        for v in sorted(s):
-            dfs(hit | {v}, size + 1)
+        best = max(best, size)
+        for k, v in enumerate(rest):
+            if size + len(rest) - k <= best:
+                return
+            c = chosen | v
+            if all(s & c != s for s in holding[v]):
+                grow(c, size + 1, rest[k + 1 :])
 
-    dfs(frozenset(), 0)
-    return best
+    grow(0, 0, cands)
+    return free + best
+
+
+def has_standard_monomials(gb: list[Polynomial], ring: Ring, degree: int) -> bool:
+    """Whether some monomial of the given degree is divisible by no leading
+    monomial of gb: then HF(R/I) = HF(R/lt I) is positive there (Macaulay).
+
+    A divisor of a standard monomial is standard, so the standard monomials
+    of each degree are the multiples s*x of the previous degree's that no
+    leading monomial divides; one that divides s*x but not s holds x. The
+    degrees grow from 0 and stop at the first that has none.
+    """
+    lms = [g.lm() for g in gb]
+    if 0 in lms:
+        return False
+    guards = ring._guards
+    # each variable's unit and the leading monomials that hold it
+    steps = [
+        (u, [l for l in lms if l >> shift & _FIELD])
+        for u, shift in zip(ring._units, ring._shifts)
+    ]
+    layer = {0}
+    for _ in range(degree):
+        grown = set()
+        for s in layer:
+            for u, holding in steps:
+                m = s + u
+                if m not in grown:
+                    mg = m | guards
+                    if not any((mg - l) & guards == guards for l in holding):
+                        grown.add(m)
+        if not grown:
+            return False
+        layer = grown
+    return True
 
 
 # ---------------------------------------------------------------------------

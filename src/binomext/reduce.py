@@ -1,7 +1,12 @@
 """Reduction-number machinery: the two-variable monomial rewriter along
 scroll minors, system-of-parameters checking, degree-bounded containment
-of m^(rho+1) in G*m^rho + B by exact linear algebra, and the end-to-end
-verifier combining coloration, hypotheses, and containment.
+of m^(rho+1) in G*m^rho + B, and the end-to-end verifier combining
+coloration, hypotheses, and containment.
+
+Both questions are read off the two Groebner bases `verify_sop` computes,
+GB(B) and GB(B + G): the dimension from their leading monomials, the
+containment from the standard monomials of GB(B + G), and its witnesses
+and single-monomial memberships from normal forms modulo that basis.
 """
 from __future__ import annotations
 
@@ -29,11 +34,12 @@ from .extension import (
 from .poly import (
     Polynomial,
     Ring,
-    covered_columns,
+    division_table,
     groebner_basis,
+    has_standard_monomials,
     krull_dimension_lt,
     memoized,
-    rref_rows,
+    normal_form,
 )
 
 
@@ -187,14 +193,30 @@ def modB_normal_pair(m: ScrollMatrix, u: int, v: int, ring: Ring) -> RewriteTrac
 
 
 # ---------------------------------------------------------------------------
-# graded spans
+# graded containment
+
+
+def _basis_with_forms(vectors: ReductionVectors, b: IdealPresentation) -> list[Polynomial]:
+    """GB(B + G), the basis `verify_sop` computes, from the run memo.
+
+    G is linear and B homogeneous, so (B + G)_(rho+1) = B_(rho+1) + G*m^rho:
+    the containment in degree rho+1 is a question about this basis.
+    """
+    ring = b.ring
+    for g in b.generators:
+        if len(set(map(ring.degree, g.terms))) != 1:
+            raise ValueError(f"generator {g} is not homogeneous")
+    for g in vectors.forms:
+        if any(ring.degree(m) != 1 for m in g.terms):
+            raise ValueError(f"form {g} is not linear")
+    return groebner_basis(list(b.generators) + list(vectors.forms), ring)
 
 
 def _graded_coverage(
     vectors: ReductionVectors, b: IdealPresentation, rho: int
 ) -> tuple[tuple[int, ...], frozenset[int]]:
-    """All degree-(rho+1) monomials, packed, and the subset covered by the
-    span of {g_i * m : deg m = rho} and {m * gen : deg = rho+1, gen of B}.
+    """All degree-(rho+1) monomials, packed, and the subset that lies in
+    G*m^rho + B: those whose normal form modulo GB(B + G) is zero.
 
     Computed once per run scope for each ring, forms, generators and rho.
     """
@@ -205,64 +227,34 @@ def _graded_coverage(
 def _compute_graded_coverage(
     vectors: ReductionVectors, b: IdealPresentation, rho: int
 ) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Monomial generators strike their multiples outright; remaining rows are
-    reduced exactly over the field."""
     ring = b.ring
-    deg = rho + 1
-
-    def of_degree(d: int) -> list[int]:
-        # packed, in the order of monomials_of_degree
-        return [ring.product(c) for c in combinations_with_replacement(range(ring.nvars), d)]
-
-    cols = of_degree(deg)
-    mono_gens = []
-    binom_gens = []
-    for g in b.generators:
-        if len(set(map(ring.degree, g.terms))) != 1:
-            raise ValueError(f"generator {g} is not homogeneous")
-        (mono_gens if len(g.terms) == 1 else binom_gens).append(g)
-    low_monos = [g.lm() for g in mono_gens if g.degree() <= deg]
-    divides = ring.divides
-    struck = {m for m in cols if any(divides(g, m) for g in low_monos)}
-    remaining = [m for m in cols if m not in struck]
-    idx = {m: i for i, m in enumerate(remaining)}
-
-    rows: list[dict[int, object]] = []
-
-    def shifted_row(poly: Polynomial, shift: int) -> dict[int, object]:
-        # every product has degree deg, so none can cross a field
-        row: dict[int, object] = {}
-        for mono, c in poly.terms.items():
-            col = idx.get(mono + shift)
-            if col is not None:
-                row[col] = c
-        return row
-
-    for g in binom_gens:
-        if g.degree() > deg:
-            continue
-        for m in of_degree(deg - g.degree()):
-            row = shifted_row(g, m)
-            if row:
-                rows.append(row)
-    for g in vectors.forms:
-        for m in of_degree(rho):
-            row = shifted_row(g, m)
-            if row:
-                rows.append(row)
-
-    _, pivrows = rref_rows(rows, len(remaining), ring.field)
-    covered = struck.union(remaining[c] for c in covered_columns(pivrows))
-    return tuple(cols), frozenset(covered)
+    gb = _basis_with_forms(vectors, b)
+    table = division_table(gb, ring)
+    one = ring.field.one
+    # packed, in the order of monomials_of_degree
+    cols = tuple(
+        ring.product(c) for c in combinations_with_replacement(range(ring.nvars), rho + 1)
+    )
+    covered = frozenset(
+        m for m in cols if not normal_form(Polynomial(ring, {m: one}), gb, table).terms
+    )
+    return cols, covered
 
 
 def degree_containment(
     vectors: ReductionVectors, b: IdealPresentation, rho: int
 ) -> tuple[bool, list[str]]:
     """Exact verdict for m^(rho+1) contained in G*m^rho + B, with the
-    uncovered degree-(rho+1) monomials as witnesses on failure."""
+    uncovered degree-(rho+1) monomials as witnesses on failure.
+
+    The containment holds exactly when GB(B + G) leaves no standard monomial
+    of degree rho+1 (Macaulay: HF(R/I) = HF(R/lt I)); only a failure reads
+    the graded coverage for its witnesses.
+    """
     if rho < 1:
         raise ValueError(f"rho must be at least 1, got {rho}")
+    if not has_standard_monomials(_basis_with_forms(vectors, b), b.ring, rho + 1):
+        return True, []
     cols, covered = _graded_coverage(vectors, b, rho)
     missing = [m for m in cols if m not in covered]
     return not missing, [b.ring.mono_str(m) for m in missing]

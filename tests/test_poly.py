@@ -713,10 +713,10 @@ def tuple_hilbert_numerator(gens: tuple[tuple, ...], memo: dict) -> tuple[int, .
 
 
 @st.composite
-def monomial_ideals(draw) -> tuple:
+def monomial_ideals(draw, max_vars: int = 6) -> tuple:
     """(nvars, exponent tuples): nonconstant monomials with exponents 0-3,
     then repeats and multiples of them, which are redundant generators."""
-    nvars = draw(st.integers(1, 6))
+    nvars = draw(st.integers(1, max_vars))
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
     gens = draw(st.lists(exps.filter(any), min_size=1, max_size=8))
     for _ in range(draw(st.integers(0, 3))):
@@ -734,6 +734,67 @@ def test_packed_hilbert_numerator_matches_the_tuple_reference(ideal, order: str)
     minimal = tuple_minimalize(gens)
     assert sorted(map(r.exponents, packed)) == sorted(minimal)
     assert poly._hilbert_numerator(packed, r, {}) == tuple_hilbert_numerator(minimal, {})
+
+
+def minimal_supports(monos) -> list[frozenset[int]]:
+    """The engine's earlier supports: variable sets of exponent tuples, less
+    those that hold another."""
+    sups = {frozenset(i for i, e in enumerate(m) if e) for m in monos}
+    return [s for s in sups if not any(t < s for t in sups)]
+
+
+def min_hitting_set(supports: list[frozenset[int]]) -> int:
+    """The engine's earlier dimension search: the size of the smallest
+    variable set meeting every support, by depth-first search."""
+    if not supports:
+        return 0
+    best = len(frozenset().union(*supports))
+
+    def dfs(hit: frozenset[int], size: int) -> None:
+        nonlocal best
+        if size >= best:
+            return
+        left = [s for s in supports if not (s & hit)]
+        if not left:
+            best = size
+            return
+        s = min(left, key=lambda t: (len(t), sorted(t)))
+        for v in sorted(s):
+            dfs(hit | {v}, size + 1)
+
+    dfs(frozenset(), 0)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal=monomial_ideals(max_vars=10), order=st.sampled_from(["lex", "deglex", "degrevlex"]))
+def test_independent_set_dimension_matches_the_hitting_set_reference(ideal, order: str) -> None:
+    # the largest set of variables holding no support is the complement of
+    # the smallest set meeting every support
+    nvars, gens = ideal
+    r = Ring(tuple(f"x{i}" for i in range(nvars)), PrimeField(), MonomialOrder(order))
+    lts = [r.monomial(g) for g in gens]
+    assert krull_dimension_lt(lts, r) == nvars - min_hitting_set(minimal_supports(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal=monomial_ideals(), order=st.sampled_from(["lex", "deglex", "degrevlex"]))
+def test_standard_monomials_match_brute_force(ideal, order: str) -> None:
+    nvars, gens = ideal
+    r = Ring(tuple(f"x{i}" for i in range(nvars)), PrimeField(), MonomialOrder(order))
+    lts = [r.monomial(g) for g in gens]
+    for degree in range(6):
+        brute = any(
+            not any(ref_divides(g, m) for g in gens) for m in monomials_of_degree(nvars, degree)
+        )
+        assert poly.has_standard_monomials(lts, r, degree) == brute, degree
+    assert not poly.has_standard_monomials([r.one()], r, 0)
+
+
+def test_independent_set_dimension_of_a_unit_ideal_is_an_error() -> None:
+    r = ring("x y")
+    with pytest.raises(ValueError, match="unit ideal"):
+        krull_dimension_lt([r.var(0), r.one()], r)
 
 
 # ---------------------------------------------------------------------------

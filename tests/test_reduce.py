@@ -48,10 +48,18 @@ from binomext import (
     verify_main_theorem,
     verify_sop,
 )
+from binomext.cli import _rank_coverage as rank_coverage
 from binomext.cli import build_model, parse_document, run
+from binomext.color import EmptyClass, find_coloration
 from binomext.poly import counters
 from binomext.reduce import ReductionReport
-from conftest import extension_document, random_scroll_extension, random_small_extension
+from conftest import (
+    extension_document,
+    random_dtree_extension,
+    random_scroll_extension,
+    random_small_extension,
+)
+from test_golden_counters import strip_document
 
 
 def vid(model, name: str) -> int:
@@ -319,17 +327,75 @@ def test_reduction_bound_can_be_exhausted(cycles_full) -> None:
 def test_a_run_builds_each_graded_coverage_once(greduit) -> None:
     ring = greduit.ring
     vecs = reduction_vectors(dtree_coloration(greduit.ext), ring)
+    monos = monomials_of_degree(ring.nvars, 2)
     with run_scope():
         ok, _ = degree_containment(vecs, binomial_extension_ideal(greduit.ext, ring), 1)
-        rows = counters["rank_rows"]
+        # the verdict reads leading monomials: the coverage is built on the
+        # first membership question, one normal form per monomial
+        forms = counters["normal_forms"]
+        b = binomial_extension_ideal(greduit.ext, ring)
+        covered = [monomial_covered(vecs, b, m) for m in monos]
+        assert all(covered) == ok
+        assert counters["normal_forms"] == forms + len(monos)
         # an equal presentation built again is the same request
         b = binomial_extension_ideal(greduit.ext, ring)
-        covered = [monomial_covered(vecs, b, m) for m in monomials_of_degree(ring.nvars, 2)]
-        assert all(covered) == ok
-        assert counters["rank_rows"] == rows
+        assert [monomial_covered(vecs, b, m) for m in monos] == covered
+        assert counters["normal_forms"] == forms + len(monos)
         # other forms (another coloration) are another request
-        degree_containment(vectors_by_names(greduit, [{"a"}, {"b"}, {"c"}, {"d"}]), b, 1)
-        assert counters["rank_rows"] > rows
+        other = vectors_by_names(greduit, [{"a"}, {"b"}, {"c"}, {"d"}])
+        monomial_covered(other, b, monos[0])
+        assert counters["normal_forms"] > forms + len(monos)
+
+
+def test_containment_rejects_forms_that_are_not_linear(greduit) -> None:
+    # (B + G) in degree rho+1 is B + G*m^rho only for linear forms
+    ring = greduit.ring
+    b = binomial_extension_ideal(greduit.ext, ring)
+    vecs = ReductionVectors((ring.var(0).mul(ring.var(1)),))
+    with pytest.raises(ValueError, match="not linear"):
+        degree_containment(vecs, b, 1)
+    with pytest.raises(ValueError, match="not linear"):
+        monomial_covered(vecs, b, (1, 1) + (0,) * (ring.nvars - 2))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(32003), PrimeField(4294967311), RationalField()],
+    ids=["gf32003", "gf4294967311", "rational"],
+)
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "deglex"])
+@pytest.mark.parametrize(
+    "make", [random_small_extension, random_dtree_extension], ids=["small", "dtree"]
+)
+def test_containment_from_the_basis_matches_the_rank_coverage(make, order, field) -> None:
+    # the certifier reads the verdict off the leading monomials of GB(B + G)
+    # and each monomial's membership off its normal form; the oracle's rank
+    # coverage builds the rows of B_(rho+1) + G*m^rho and reduces them. The
+    # class sums nearly always give rho = 1, so the same forms less the last
+    # one, which are no system of parameters, give the failing verdicts
+    verdicts = set()
+    for seed in range(8):
+        ext = make(seed)
+        ring = ext.ring(field, order)
+        col, _ = find_coloration(ext, require_good=False)
+        if col is None:
+            continue
+        try:
+            forms = reduction_vectors(col, ring).forms
+        except EmptyClass:
+            continue
+        b = binomial_extension_ideal(ext, ring)
+        for vecs in (ReductionVectors(forms), ReductionVectors(forms[:-1])):
+            for rho in (1, 2):
+                with run_scope():
+                    cols, covered = rank_coverage(vecs, b, rho)
+                    ok, missing = degree_containment(vecs, b, rho)
+                    assert ok == (len(covered) == len(cols)), (seed, rho)
+                    assert missing == [ring.mono_str(m) for m in cols if m not in covered]
+                    for mono in monomials_of_degree(ring.nvars, rho + 1):
+                        assert monomial_covered(vecs, b, mono) == (ring.pack(mono) in covered)
+                verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +447,19 @@ def ring_document(n: int) -> dict:
             for i in range(n)
         ],
     }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [ring_document(5), ring_document(6), strip_document(8)],
+    ids=["ring5", "ring6", "strip8"],
+)
+def test_reduce_answers_one_at_the_frontier(doc) -> None:
+    # each took seconds to minutes while the dimension was a minimal
+    # hitting set and the containment a rank computation
+    report = run("reduce", parse_document(doc))
+    assert report["verdict"] is True
+    assert report["reduction"]["reduction_number"] == 1
 
 
 def test_verifier_falls_back_when_a_dtree_skeleton_has_no_leaf_order() -> None:
