@@ -11,7 +11,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from . import poly
 from .color import (
@@ -58,7 +57,6 @@ from .poly import (
     hilbert_data,
     ideal_intersection_many,
     krull_dimension_lt,
-    monomials_of_degree,
     normal_form,
     rref_rows,
 )
@@ -475,9 +473,7 @@ def _cmd_reduce(model: Model) -> tuple[bool, dict]:
     try:
         rep = verify_main_theorem(ext, ring)
         sections = {
-            "coloration": _coloration_section(
-                ext, rep.coloration, "dtree" if rep.used_dtree else "search"
-            ),
+            "coloration": _coloration_section(ext, rep.coloration, rep.method),
             "reduction": {
                 "theorem_applies": True,
                 "failure": None,
@@ -535,12 +531,7 @@ def _rank_coverage(
     """
     ring = b.ring
     deg = rho + 1
-
-    def of_degree(d: int) -> list[int]:
-        # packed, in the order of monomials_of_degree
-        return [ring.product(c) for c in combinations_with_replacement(range(ring.nvars), d)]
-
-    cols = of_degree(deg)
+    cols = ring.monomials_of_degree(deg)
     low_monos = [g.lm() for g in b.generators if len(g.terms) == 1 and g.degree() <= deg]
     binom_gens = [g for g in b.generators if len(g.terms) > 1 and g.degree() <= deg]
     struck = {m for m in cols if any(ring.divides(g, m) for g in low_monos)}
@@ -559,12 +550,12 @@ def _rank_coverage(
         return row
 
     for g in binom_gens:
-        for m in of_degree(deg - g.degree()):
+        for m in ring.monomials_of_degree(deg - g.degree()):
             row = shifted_row(g, m)
             if row:
                 rows.append(row)
     for g in vectors.forms:
-        for m in of_degree(rho):
+        for m in ring.monomials_of_degree(rho):
             row = shifted_row(g, m)
             if row:
                 rows.append(row)
@@ -655,10 +646,10 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
         for rho in rhos:
             contained, _ = degree_containment(vectors, b, rho)
             cols, covered = _rank_coverage(vectors, b, rho)
-            for mono in monomials_of_degree(len(ring.names), rho + 1):
-                checked += 1
-                if monomial_covered(vectors, b, mono) != (ring.pack(mono) in covered):
+            for mono in cols:
+                if monomial_covered(vectors, b, mono) != (mono in covered):
                     cont_ok = False
+            checked += len(cols)
             if contained != (len(covered) == len(cols)):
                 cont_ok = False
         record(
@@ -773,8 +764,12 @@ def main(argv: list[str] | None = None) -> int:
 
     text = render_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     else:
         sys.stdout.write(text)
     elapsed = time.monotonic() - started

@@ -4,7 +4,7 @@ monomial orders, reduced Groebner bases, elimination, and Hilbert data.
 Monomials are packed into one int each, in a layout that the Ring fixes
 from its order (see FIELD_BITS); exponent tuples are met only at the edges:
 `Ring.pack` and `Ring.monomial` take them, `Ring.exponents` returns them, and
-of the algorithms only `monomials_of_degree` still takes them.
+no algorithm builds one: `Ring.monomials_of_degree` lists a degree packed.
 
 Coefficients are canonical numbers: an int in 0..p-1 over GF(p), a Fraction
 over the rationals. A field gives `of` (the element of a number), `inv`,
@@ -272,6 +272,11 @@ class Ring:
         if len(var_ids) > MAX_EXPONENT:
             raise MonomialOverflow(f"degree {len(var_ids)} exceeds {MAX_EXPONENT}")
         return sum(map(self._units.__getitem__, var_ids))
+
+    def monomials_of_degree(self, degree: int) -> list[int]:
+        """All packed products of `degree` variables, in the order of
+        combinations_with_replacement over the variables."""
+        return [self.product(c) for c in combinations_with_replacement(range(self.nvars), degree)]
 
     def _check_guards(self, m: int) -> None:
         if m & self._guards:
@@ -923,18 +928,7 @@ def has_standard_monomials(gb: list[Polynomial], ring: Ring, degree: int) -> boo
 
 
 # ---------------------------------------------------------------------------
-# graded pieces and exact rank
-
-
-def monomials_of_degree(nvars: int, degree: int) -> list[tuple]:
-    """All exponent tuples of the given total degree, deterministic order."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for v in combo:
-            exps[v] += 1
-        out.append(tuple(exps))
-    return out
+# exact rank
 
 
 def rref_rows(rows: list[dict[int, object]], ncols: int, field) -> tuple[int, dict[int, dict]]:

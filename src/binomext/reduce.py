@@ -11,7 +11,6 @@ and single-monomial memberships from normal forms modulo that basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .color import (
     Coloration,
@@ -231,10 +230,7 @@ def _compute_graded_coverage(
     gb = _basis_with_forms(vectors, b)
     table = division_table(gb, ring)
     one = ring.field.one
-    # packed, in the order of monomials_of_degree
-    cols = tuple(
-        ring.product(c) for c in combinations_with_replacement(range(ring.nvars), rho + 1)
-    )
+    cols = tuple(ring.monomials_of_degree(rho + 1))
     covered = frozenset(
         m for m in cols if not normal_form(Polynomial(ring, {m: one}), gb, table).terms
     )
@@ -260,17 +256,14 @@ def degree_containment(
     return not missing, [b.ring.mono_str(m) for m in missing]
 
 
-def monomial_covered(
-    vectors: ReductionVectors, b: IdealPresentation, mono: tuple
-) -> bool:
-    """Membership of a single degree-d monomial, given as an exponent tuple,
-    in (G*m + B) at its degree; a set lookup once the run holds that degree's
-    coverage."""
-    deg = sum(mono)
+def monomial_covered(vectors: ReductionVectors, b: IdealPresentation, m: int) -> bool:
+    """Whether the packed monomial m of b.ring, of degree d >= 2, lies in
+    B_d + G*R_(d-1); a set lookup once the run holds that degree's coverage."""
+    deg = b.ring.degree(m)
     if deg < 2:
         raise ValueError(f"monomial of degree {deg}; the span starts in degree 2")
     _, covered = _graded_coverage(vectors, b, deg - 1)
-    return b.ring.pack(mono) in covered
+    return m in covered
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +331,9 @@ class FacetCondition:
 
 @dataclass(frozen=True)
 class MainTheoremReport:
-    used_dtree: bool
+    method: str  # find_coloration's: "dtree" or "search"
     coloration: Coloration
     vectors: ReductionVectors
-    goodness_ok: bool
     facet_conditions: tuple[FacetCondition, ...]
     reduction: ReductionReport
 
@@ -369,10 +361,7 @@ def _facet_condition(
     for y in roles.firsts:
         if y is None:
             continue
-        e = [0] * ring.nvars
-        e[x0] += 1
-        e[y] += 1
-        if not monomial_covered(vectors, b, tuple(e)):
+        if not monomial_covered(vectors, b, ring.product((x0, y))):
             raise HypothesisFailed(
                 f"facet {l}: {ring.names[x0]}*{ring.names[y]} not in the degree-2 span"
             )
@@ -397,8 +386,7 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
     except EmptyClass as exc:
         raise HypothesisFailed(f"reduction vectors: {exc}") from None
     b = binomial_extension_ideal(ext, ring)
-    good = is_good_coloration(g_prime_graph(ext), col)
-    if not good:
+    if not is_good_coloration(g_prime_graph(ext), col):
         raise HypothesisFailed("coloration is not good on G'")
     conditions = tuple(
         _facet_condition(ext, l, vectors, b, ring)
@@ -412,10 +400,9 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
         missing = report.witnesses[0][1]
         raise ContainmentFailed("uncovered degree-2 monomials: " + ", ".join(missing))
     return MainTheoremReport(
-        used_dtree=method == "dtree",
+        method=method,
         coloration=col,
         vectors=vectors,
-        goodness_ok=good,
         facet_conditions=conditions,
         reduction=report,
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomext import DuplicatePointName, OrderMismatch, binomial_extension_ideal, cli, color
+from binomext import DuplicatePointName, OrderMismatch, Ring, binomial_extension_ideal, cli, color
 from binomext.cli import (
+    COMMANDS,
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
@@ -394,6 +396,22 @@ def test_reduce_fallback_does_not_turn_engine_faults_into_verdicts(monkeypatch) 
     assert main(["reduce", "--input", path]) == EXIT_INTERNAL_ERROR
 
 
+@pytest.mark.parametrize("name", ALL_FIXTURE_NAMES)
+def test_the_engine_builds_no_exponent_tuple(name: str, monkeypatch) -> None:
+    # exponent tuples are met only at the edges of poly: every command, and
+    # reduce with the oracle, runs on packed monomials alone
+    doc = parse_input(str(FIXTURES / f"{name}.json"))
+    for attr in ("pack", "monomial", "exponents"):
+
+        def edge(*args, attr=attr, **kwargs):
+            pytest.fail(f"Ring.{attr} called")
+
+        monkeypatch.setattr(Ring, attr, edge)
+    for command in COMMANDS:
+        run(command, doc)
+    run("reduce", doc, with_oracle=True)
+
+
 def test_a_diverging_rewriter_is_an_internal_error_under_python_O() -> None:
     # the rewriter's step bound is a typed error, so it still fires when
     # python -O strips asserts, and main maps it to exit code 3
@@ -578,6 +596,16 @@ def test_main_exit_two_on_input_errors(tmp_path, capsys) -> None:
     bad.write_text('{"facets": [["a", "a"]]}\n')
     assert main(["validate", "--input", str(bad)]) == EXIT_INPUT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_exit_two_on_an_unwritable_out(tmp_path, capsys) -> None:
+    # a report that cannot be written is an input error, not a failed verdict
+    out = tmp_path / "missing" / "report.json"
+    code = main(["validate", "--input", str(FIXTURES / "greduit.json"), "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_main_rejects_bad_overrides(capsys) -> None:

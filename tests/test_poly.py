@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -32,7 +32,6 @@ from binomext.poly import (
     ideal_intersection_many,
     ideal_membership,
     krull_dimension_lt,
-    monomials_of_degree,
     normal_form,
     rref_rows,
     run_scope,
@@ -210,6 +209,18 @@ def ref_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def monomials_of_degree(nvars: int, degree: int) -> list[tuple]:
+    """All exponent tuples of the given total degree, in the order of
+    combinations_with_replacement over the variables."""
+    out = []
+    for combo in combinations_with_replacement(range(nvars), degree):
+        exps = [0] * nvars
+        for v in combo:
+            exps[v] += 1
+        out.append(tuple(exps))
+    return out
+
+
 # key function per base order kind; bigger key = bigger monomial
 REF_KEYS = {
     "lex": lambda m: m,
@@ -365,11 +376,15 @@ def test_zero_polynomial_has_no_leading_term() -> None:
 
 
 def test_monomials_of_degree_count() -> None:
-    for n, d in [(3, 2), (4, 3), (2, 5)]:
-        ms = monomials_of_degree(n, d)
-        assert len(ms) == comb(n + d - 1, d)
-        assert all(sum(m) == d for m in ms)
-        assert len(set(ms)) == len(ms)
+    # the ring's packed enumerator is the tuple reference, packed, in order
+    for order in ("lex", "deglex", "degrevlex"):
+        for n in range(1, 7):
+            r = Ring(tuple(f"x{i}" for i in range(n)), PrimeField(), MonomialOrder(order))
+            for d in range(6):
+                ms = r.monomials_of_degree(d)
+                assert ms == [r.pack(e) for e in monomials_of_degree(n, d)], (order, n, d)
+                assert len(ms) == len(set(ms)) == comb(n + d - 1, d)
+                assert all(r.degree(m) == d for m in ms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from binomext import (
     NotADTree,
     NotInMatrix,
     NotSOP,
+    Polynomial,
     PrimeField,
     ProperStar,
     FacetExtension,
@@ -38,7 +39,6 @@ from binomext import (
     facet_minors,
     modB_normal_pair,
     monomial_covered,
-    monomials_of_degree,
     normal_form,
     reduction_number,
     reduction_vectors,
@@ -262,9 +262,9 @@ def test_containment_matches_ideal_membership(cycles_pair) -> None:
     b = binomial_extension_ideal(cycles_pair.ext, ring)
     vecs = reduction_vectors(dtree_coloration(cycles_pair.ext), ring)
     gb = buchberger(list(b.generators) + list(vecs.forms), ring)
-    for mono in monomials_of_degree(ring.nvars, 2):
-        member = normal_form(ring.monomial(mono), gb).is_zero()
-        assert monomial_covered(vecs, b, mono) == member, ring.mono_str(ring.pack(mono))
+    for mono in ring.monomials_of_degree(2):
+        member = normal_form(Polynomial(ring, {mono: ring.field.one}), gb).is_zero()
+        assert monomial_covered(vecs, b, mono) == member, ring.mono_str(mono)
 
 
 def test_containment_starts_in_degree_two(greduit) -> None:
@@ -273,7 +273,9 @@ def test_containment_starts_in_degree_two(greduit) -> None:
     with pytest.raises(ValueError, match="at least 1"):
         degree_containment(vecs, b, 0)
     with pytest.raises(ValueError, match="degree 1"):
-        monomial_covered(vecs, b, (1,) + (0,) * (greduit.ring.nvars - 1))
+        monomial_covered(vecs, b, greduit.ring.product((0,)))
+    with pytest.raises(ValueError, match="degree 0"):
+        monomial_covered(vecs, b, greduit.ring.product(()))
 
 
 def test_containment_rejects_inhomogeneous_generators() -> None:
@@ -309,8 +311,8 @@ def test_two_step_reduction_on_the_four_cycle_complex(cycles_full) -> None:
     uncovered = report.witnesses[0][1]
     assert missing == list(uncovered)
     mono = next(
-        m for m in monomials_of_degree(cycles_full.ring.nvars, 2)
-        if cycles_full.ring.mono_str(cycles_full.ring.pack(m)) == uncovered[0]
+        m for m in cycles_full.ring.monomials_of_degree(2)
+        if cycles_full.ring.mono_str(m) == uncovered[0]
     )
     assert not monomial_covered(vecs, b, mono)
 
@@ -327,7 +329,7 @@ def test_reduction_bound_can_be_exhausted(cycles_full) -> None:
 def test_a_run_builds_each_graded_coverage_once(greduit) -> None:
     ring = greduit.ring
     vecs = reduction_vectors(dtree_coloration(greduit.ext), ring)
-    monos = monomials_of_degree(ring.nvars, 2)
+    monos = ring.monomials_of_degree(2)
     with run_scope():
         ok, _ = degree_containment(vecs, binomial_extension_ideal(greduit.ext, ring), 1)
         # the verdict reads leading monomials: the coverage is built on the
@@ -355,7 +357,7 @@ def test_containment_rejects_forms_that_are_not_linear(greduit) -> None:
     with pytest.raises(ValueError, match="not linear"):
         degree_containment(vecs, b, 1)
     with pytest.raises(ValueError, match="not linear"):
-        monomial_covered(vecs, b, (1, 1) + (0,) * (ring.nvars - 2))
+        monomial_covered(vecs, b, ring.product((0, 1)))
 
 
 @pytest.mark.parametrize(
@@ -392,8 +394,8 @@ def test_containment_from_the_basis_matches_the_rank_coverage(make, order, field
                     ok, missing = degree_containment(vecs, b, rho)
                     assert ok == (len(covered) == len(cols)), (seed, rho)
                     assert missing == [ring.mono_str(m) for m in cols if m not in covered]
-                    for mono in monomials_of_degree(ring.nvars, rho + 1):
-                        assert monomial_covered(vecs, b, mono) == (ring.pack(mono) in covered)
+                    for mono in ring.monomials_of_degree(rho + 1):
+                        assert monomial_covered(vecs, b, mono) == (mono in covered)
                 verdicts.add(ok)
     assert verdicts == {True, False}
 
@@ -404,15 +406,21 @@ def test_containment_from_the_basis_matches_the_rank_coverage(make, order, field
 
 def test_verifier_on_the_tetrahedron(greduit) -> None:
     report = verify_main_theorem(greduit.ext, greduit.ring)
-    assert report.used_dtree
-    assert report.goodness_ok
+    assert report.method == "dtree"
     assert report.reduction.reduction_number == 1
     assert [c.route for c in report.facet_conditions] == ["private-origin"]
 
 
+def test_verifier_raises_on_a_coloration_that_is_not_good(greduit, monkeypatch) -> None:
+    # a report is built only for a good coloration, so it carries no flag
+    monkeypatch.setattr(reduce_module, "is_good_coloration", lambda graph, col: False)
+    with pytest.raises(HypothesisFailed, match="not good on G'"):
+        verify_main_theorem(greduit.ext, greduit.ring)
+
+
 def test_verifier_on_the_band(greduit1) -> None:
     report = verify_main_theorem(greduit1.ext, greduit1.ring)
-    assert not report.used_dtree
+    assert report.method == "search"
     assert report.reduction.reduction_number == 1
     assert all(
         c.route in ("trivial", "single-edge", "private-origin", "degree-2-span")
@@ -422,7 +430,7 @@ def test_verifier_on_the_band(greduit1) -> None:
 
 def test_verifier_on_the_glued_pair(cycles_pair) -> None:
     report = verify_main_theorem(cycles_pair.ext, cycles_pair.ring)
-    assert report.used_dtree
+    assert report.method == "dtree"
     assert report.reduction.reduction_number == 1
     assert [c.route for c in report.facet_conditions] == [
         "private-origin",
@@ -470,7 +478,7 @@ def test_verifier_falls_back_when_a_dtree_skeleton_has_no_leaf_order() -> None:
     with pytest.raises(NotADTree):
         dtree_coloration(model.ext)
     report = verify_main_theorem(model.ext, model.ring)
-    assert not report.used_dtree
+    assert report.method == "search"
     assert report.reduction.reduction_number == 1
     assert not report.reduction.bound_exceeded
     reduce_report = run("reduce", doc)
@@ -557,6 +565,6 @@ def test_verifier_on_an_unextended_complex(cycles_pair) -> None:
     ext = build_extension_complex(base, [])
     ring = ext.ring(PrimeField(32003))
     report = verify_main_theorem(ext, ring)
-    assert report.used_dtree
+    assert report.method == "dtree"
     assert report.reduction.reduction_number == 1
     assert [c.route for c in report.facet_conditions] == ["trivial", "trivial"]
