@@ -6,12 +6,15 @@ from its order (see FIELD_BITS); exponent tuples are met only at the edges:
 `Ring.pack` and `Ring.monomial` take them, `Ring.exponents` returns them, and
 no algorithm builds one: `Ring.monomials_of_degree` lists a degree packed.
 
-Coefficients are canonical numbers: an int in 0..p-1 over GF(p), a Fraction
-over the rationals. A field gives `of` (the element of a number), `inv`,
-`red` (the canonical value of a sum, difference or product of elements),
-`zero`, `one`, `to_str` and `name`; arithmetic is Python's `+ - *` followed
-by one `red`. Only canonical elements are stored, and zero is the only falsy
-one, so a polynomial never holds a zero coefficient.
+Coefficients are canonical numbers: an int in 0..p-1 over GF(p); over the
+rationals an int when integral, else a Fraction with denominator above 1,
+so integral coefficients cost int arithmetic in every field. A field gives
+`of` (the element of a number), `inv`, `red` (the canonical value of a sum,
+difference or product of elements), `zero`, `one`, `to_str` and `name`;
+arithmetic is Python's `+ - *` followed by one `red`. Only canonical
+elements are stored, and zero is the only falsy one, so a polynomial never
+holds a zero coefficient. Division multiplies by leading-coefficient
+inverses stored once per basis element (see `division_table`).
 Every operation is deterministic: identical inputs give identical output,
 including generator order inside computed bases.
 """
@@ -106,25 +109,35 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class RationalField:
+    """The rationals. An integral element is a Python int and any other a
+    Fraction with denominator above 1, so the integral coefficients of the
+    paper's bases (+-1) cost int arithmetic. Equality, hashing and printing
+    agree between the two: 1 == Fraction(1), hash(1) == hash(Fraction(1))
+    and str(3) == str(Fraction(3))."""
+
     @property
     def name(self) -> str:
         return "rational"
 
-    def of(self, a) -> Fraction:
-        return Fraction(a)
+    def of(self, a) -> int | Fraction:
+        return a if type(a) is int else self.red(Fraction(a))
 
-    def red(self, a: Fraction) -> Fraction:
-        return a  # Fraction arithmetic is already in lowest terms
+    def red(self, a: int | Fraction) -> int | Fraction:
+        # int arithmetic stays int; a Fraction result is in lowest terms,
+        # and an integral one becomes its int
+        if type(a) is int or a.denominator != 1:
+            return a
+        return a.numerator
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: int | Fraction) -> int | Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.red(Fraction(1) / a)
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def to_str(self, a: Fraction) -> str:
+    def to_str(self, a: int | Fraction) -> str:
         return str(a)
 
 
@@ -502,13 +515,15 @@ def memoized(key, compute):
 
 
 def division_table(basis: list[Polynomial], ring: Ring) -> list[tuple]:
-    """(leading monomial, leading coefficient, terms) of each nonzero element
-    of basis, in listed order: what `normal_form` divides by. Built once per
-    basis, so the ring of each element is checked once."""
+    """(leading monomial, inverse of the leading coefficient, terms) of each
+    nonzero element of basis, in listed order: what `normal_form` divides
+    by. Built once per basis, so each element's ring is checked and its
+    leading coefficient inverted once, not once per reduction step."""
     for g in basis:
         if g.ring is not ring and g.ring != ring:
             raise OrderMismatch("basis polynomial from a different ring")
-    return [(*g.lt(), g.terms) for g in basis if g.terms]
+    inv = ring.field.inv
+    return [(g.lm(), inv(g.lt()[1]), g.terms) for g in basis if g.terms]
 
 
 def normal_form(
@@ -523,16 +538,16 @@ def normal_form(
     ring = f.ring
     if table is None:
         table = division_table(basis, ring)
-    field, key, guards = ring.field, ring.key, ring._guards
-    red, zero = field.red, field.zero
+    key, guards = ring.key, ring._guards
+    red, zero = ring.field.red, ring.field.zero
     rem = {}
     h = dict(f.terms)
     while h:
         hm = max(h, key=key)
         hg = hm | guards
-        for gm, gc, gterms in table:
+        for gm, ginv, gterms in table:
             if (hg - gm) & guards == guards:  # gm divides hm
-                q, c = hm - gm, red(h[hm] * field.inv(gc))
+                q, c = hm - gm, red(h[hm] * ginv)
                 # h -= c * q * g; the leading terms cancel
                 for m, a in gterms.items():
                     p = m + q
@@ -579,13 +594,13 @@ def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
     if not gb:
         return kept
     ring = gb[0].ring
-    key, guards = ring.key, ring._guards
+    key, guards, one = ring.key, ring._guards, ring.field.one
     for p in sorted(gb, key=lambda p: key(p.lm())):
         pg = p.lm() | guards
         if not any((pg - q[0]) & guards == guards for q in table):
             r = normal_form(p, kept, table)
             kept.append(r)
-            table.append((*r.lt(), r.terms))
+            table.append((r.lm(), one, r.terms))  # r is monic
     return kept[::-1]
 
 
@@ -621,6 +636,7 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
         if g.ring != ring:
             raise OrderMismatch("generator from a different ring")
     degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
+    one = ring.field.one
     basis: list[Polynomial] = []
     table: list[tuple] = []  # division_table(basis)
     lms: list[int] = []
@@ -631,7 +647,7 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
         nonlocal live, queue
         n, hm, hmono = len(basis), h.lm(), len(h.terms) == 1
         basis.append(h)
-        table.append((*h.lt(), h.terms))
+        table.append((hm, one, h.terms))  # h is monic
         lms.append(hm)
         cands = []  # (lcm, i, trivial)
         for i in live:

@@ -19,6 +19,7 @@ from binomext import (
     OriginMismatch,
     ProperStar,
     PrimeField,
+    RationalField,
     ScrollBlock,
     binomial_extension_ideal,
     build_extension_complex,
@@ -37,7 +38,12 @@ from binomext import (
     validate_complex,
 )
 from binomext.cli import INPUT_ERRORS
-from conftest import random_small_extension
+from conftest import (
+    ALL_FIXTURE_NAMES,
+    load_model,
+    random_dtree_extension,
+    random_small_extension,
+)
 
 
 def name_edges(ext, g) -> set[tuple[str, str]]:
@@ -265,6 +271,29 @@ def test_all_empty_extension_reduces_to_the_non_face_ideal() -> None:
 
 # ---------------------------------------------------------------------------
 # decomposition equality
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
+def test_reduced_basis_of_b_is_the_same_over_every_field(order) -> None:
+    # B is generated by pure-difference binomials and square-free monomials,
+    # so its reduced basis has coefficients +-1 over every field (Eisenbud &
+    # Sturmfels, "Binomial ideals", Duke 1996); over Q they stay ints
+    exts = [load_model(name).ext for name in ALL_FIXTURE_NAMES]
+    exts += [random_small_extension(seed) for seed in range(16)]
+    exts += [random_dtree_extension(seed) for seed in range(16)]
+    disagree = []
+    for k, ext in enumerate(exts):
+        printed = []
+        for field in (RationalField(), PrimeField(32003), PrimeField(4294967311)):
+            ring = ext.ring(field, order)
+            gb = buchberger(list(binomial_extension_ideal(ext, ring).generators), ring)
+            if isinstance(field, RationalField):
+                coeffs = [c for g in gb for c in g.terms.values()]
+                assert all(type(c) is int and c in (1, -1) for c in coeffs), k
+            printed.append([str(g) for g in gb])
+        if any(p != printed[0] for p in printed[1:]):
+            disagree.append(k)
+    assert not disagree
 
 
 @pytest.mark.parametrize("name", ["greduit", "cycles_pair"])

@@ -130,10 +130,10 @@ def _from_sympy(basis, field, order: str) -> set:
         terms = {}
         for m, c in g.terms(order=SYMPY_ORDER[order]):
             if isinstance(field, PrimeField):
-                terms[tuple(m)] = int(c) % P
+                terms[tuple(m)] = field.of(int(c))
             else:
                 q = sympy.Rational(c)
-                terms[tuple(m)] = Fraction(int(q.p), int(q.q))
+                terms[tuple(m)] = field.of(Fraction(int(q.p), int(q.q)))
         out.add(_monic(terms, field))
     return out
 

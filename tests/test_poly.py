@@ -9,7 +9,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binomext import poly
@@ -117,6 +117,12 @@ def test_rational_field_is_exact() -> None:
     third = f.inv(f.of(3))
     assert third == Fraction(1, 3)
     assert f.red(third * f.of(3)) == 1
+    # an integral rational is an int, any other a Fraction
+    assert type(f.red(third * f.of(3))) is int
+    assert type(f.of(Fraction(4, 2))) is int and f.of(Fraction(4, 2)) == 2
+    assert type(f.inv(-1)) is int and f.inv(-1) == -1
+    assert type(f.of(Fraction(1, 3))) is Fraction
+    assert type(f.zero) is int and type(f.one) is int
 
 
 def test_field_by_name() -> None:
@@ -133,14 +139,17 @@ coefficients = (
 )
 
 
+def _assert_canonical_value(field, c) -> None:
+    assert c != 0
+    if isinstance(field, PrimeField):
+        assert type(c) is int and 1 <= c <= field.p - 1
+    else:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def _assert_canonical(p) -> None:
-    field = p.ring.field
     for c in p.terms.values():
-        assert c != 0
-        if isinstance(field, PrimeField):
-            assert type(c) is int and 1 <= c <= field.p - 1
-        else:
-            assert type(c) is Fraction
+        _assert_canonical_value(p.ring.field, c)
 
 
 @st.composite
@@ -180,9 +189,38 @@ def test_coefficients_stay_canonical(case) -> None:
     ]
     gb = buchberger([f, g], r)
     results += gb + [normal_form(h, gb), normal_form(h, [f, g])]
+    results += ideal_intersection([f], [g], r)
+    ext = Ring(("@t",) + r.names, field, MonomialOrder("elim", r.order.kind))
+    results += [poly._to_elim_ring(f, ext, side) for side in ("t", "1-t")]
     for q in results + [f, g, h]:
         _assert_canonical(q)
     assert all(q.lt()[1] == 1 for q in gb + [g.monic()] if q.terms)
+    monos = sorted({m for q in (f, g, h) for m in q.terms})
+    rows = [{monos.index(m): c for m, c in q.terms.items()} for q in (f, g, h)]
+    _, pivrows = rref_rows(rows, len(monos), field)
+    for row in pivrows.values():
+        for c in row.values():
+            _assert_canonical_value(field, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=canonical_cases(), scalars=st.tuples(coefficients, coefficients))
+def test_a_rescaled_basis_leaves_the_same_remainder(case, scalars) -> None:
+    # each division_table row stores the inverse of its leading coefficient,
+    # which is all that scaling a divisor changes
+    r, (f, g, h), _, _ = case
+    field = r.field
+    assume(all(field.of(c) for c in scalars))
+    basis = [g, h]
+    scaled = [q.mul_term(0, c) for q, c in zip(basis, scalars)]
+    table = poly.division_table(scaled, r)
+    assert table == [(q.lm(), field.inv(q.lt()[1]), q.terms) for q in scaled if q.terms]
+    for _, inv, _ in table:
+        _assert_canonical_value(field, inv)
+    want = normal_form(f, basis)
+    assert normal_form(f, scaled) == want
+    assert normal_form(f, scaled, table) == want
+    assert normal_form(f, basis, poly.division_table(basis, r)) == want
 
 
 # ---------------------------------------------------------------------------
