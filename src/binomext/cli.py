@@ -52,6 +52,7 @@ from .poly import (
     Polynomial,
     Ring,
     covered_columns,
+    division_table,
     field_by_name,
     groebner_basis,
     hilbert_data,
@@ -608,6 +609,7 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
             continue
         m = scroll_matrix(ext, l)
         gb_l = groebner_basis(facet_minors(ext, ring, l), ring)
+        table = division_table(gb_l, ring)
         entries = sorted({v for blk in m.blocks for v in blk.run})
         for i, u in enumerate(entries):
             for v in entries[i + 1 :]:
@@ -619,7 +621,7 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
                 a, c = trace.start
                 d, e = trace.final
                 diff = ring.var(a).mul(ring.var(c)).sub(ring.var(d).mul(ring.var(e)))
-                if not normal_form(diff, gb_l).is_zero():
+                if not normal_form(diff, gb_l, table).is_zero():
                     rewrite_ok = False
                 if trace.family not in (1, 2, 3, 4, 5):
                     rewrite_ok = False
@@ -660,8 +662,9 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
 
     member_ok = True
     for c, gb_c in zip(comps, comp_gbs):
+        table = division_table(gb_c, ring)
         for g in b.generators:
-            if not normal_form(g, gb_c).is_zero():
+            if not normal_form(g, gb_c, table).is_zero():
                 member_ok = False
     record("membership", member_ok, f"{len(b.generators)} generators vs {len(comps)} components")
 

@@ -14,7 +14,9 @@ difference or product of elements), `zero`, `one`, `to_str` and `name`;
 arithmetic is Python's `+ - *` followed by one `red`. Only canonical
 elements are stored, and zero is the only falsy one, so a polynomial never
 holds a zero coefficient. Division multiplies by leading-coefficient
-inverses stored once per basis element (see `division_table`).
+inverses stored once per basis element, and finds each divisor through an
+index of the leading monomials by support (see `DivisionTable`). Buchberger
+gives the monomial elements no pair loop of their own (see `buchberger`).
 Every operation is deterministic: identical inputs give identical output,
 including generator order inside computed bases.
 """
@@ -415,6 +417,8 @@ class Polynomial:
         if self.is_zero():
             return self
         _, c = self.lt()
+        if c == self.ring.field.one:
+            return self
         return self.mul_term(0, self.ring.field.inv(c))
 
     def sorted_terms(self) -> list[tuple]:
@@ -514,20 +518,67 @@ def memoized(key, compute):
     return memo[key]
 
 
-def division_table(basis: list[Polynomial], ring: Ring) -> list[tuple]:
-    """(leading monomial, inverse of the leading coefficient, terms) of each
-    nonzero element of basis, in listed order: what `normal_form` divides
-    by. Built once per basis, so each element's ring is checked and its
-    leading coefficient inverted once, not once per reduction step."""
+class DivisionTable(list):
+    """Rows (leading monomial, ...) in basis order, and an index of them by
+    support: the guard bits of the fields where a monomial is positive. Each
+    row sits in the bucket of its support's lowest bit (a constant's in the
+    bucket of bit 0, which no guard uses); a divisor of m has its support
+    inside m's, so only the buckets of m's bits and the constant's can hold
+    one. Rows are only ever appended."""
+
+    __slots__ = ("buckets", "_keys", "_guards", "_ones")
+
+    def __init__(self, guards: int, rows=()) -> None:
+        super().__init__()
+        self.buckets: dict[int, list[tuple]] = {}
+        self._keys = 0  # the bits that key a bucket
+        self._guards = guards
+        self._ones = guards >> FIELD_BITS - 1
+        for row in rows:
+            self.append(row)
+
+    def append(self, row: tuple) -> None:
+        s = ((row[0] | self._guards) - self._ones) & self._guards
+        k = s & -s or 1
+        self._keys |= k
+        self.buckets.setdefault(k, []).append((len(self),) + row)
+        super().append(row)
+
+    def divisor(self, m: int) -> tuple | None:
+        """(position,) + row of the first row, in table order, whose
+        leading monomial divides m; None if there is none."""
+        guards, buckets = self._guards, self.buckets
+        mg = m | guards
+        s = ((mg - self._ones) & guards | 1) & self._keys
+        best = None
+        at = len(self)
+        while s:
+            b = s & -s
+            s ^= b
+            for row in buckets[b]:
+                if row[0] >= at:
+                    break
+                if (mg - row[1]) & guards == guards:
+                    best = row
+                    at = row[0]
+                    break
+        return best
+
+
+def division_table(basis: list[Polynomial], ring: Ring) -> DivisionTable:
+    """The DivisionTable of the nonzero elements of basis, in listed order.
+    Built once per basis, so each element's ring is checked and its leading
+    coefficient inverted once, not once per reduction step."""
     for g in basis:
         if g.ring is not ring and g.ring != ring:
             raise OrderMismatch("basis polynomial from a different ring")
     inv = ring.field.inv
-    return [(g.lm(), inv(g.lt()[1]), g.terms) for g in basis if g.terms]
+    rows = ((g.lm(), inv(g.lt()[1]), g.terms) for g in basis if g.terms)
+    return DivisionTable(ring._guards, rows)
 
 
 def normal_form(
-    f: Polynomial, basis: list[Polynomial], table: list[tuple] | None = None
+    f: Polynomial, basis: list[Polynomial], table: DivisionTable | None = None
 ) -> Polynomial:
     """Remainder of multivariate division of f by basis (in listed order).
 
@@ -538,29 +589,28 @@ def normal_form(
     ring = f.ring
     if table is None:
         table = division_table(basis, ring)
-    key, guards = ring.key, ring._guards
+    key, guards, divisor = ring.key, ring._guards, table.divisor
     red, zero = ring.field.red, ring.field.zero
     rem = {}
     h = dict(f.terms)
     while h:
         hm = max(h, key=key)
-        hg = hm | guards
-        for gm, ginv, gterms in table:
-            if (hg - gm) & guards == guards:  # gm divides hm
-                q, c = hm - gm, red(h[hm] * ginv)
-                # h -= c * q * g; the leading terms cancel
-                for m, a in gterms.items():
-                    p = m + q
-                    if p & guards:
-                        ring._check_guards(p)
-                    s = red(h.get(p, zero) - a * c)
-                    if s:
-                        h[p] = s
-                    else:
-                        del h[p]
-                break
-        else:
+        row = divisor(hm)
+        if row is None:
             rem[hm] = h.pop(hm)
+            continue
+        _, gm, ginv, gterms = row
+        q, c = hm - gm, red(h[hm] * ginv)
+        # h -= c * q * g; the leading terms cancel
+        for m, a in gterms.items():
+            p = m + q
+            if p & guards:
+                ring._check_guards(p)
+            s = red(h.get(p, zero) - a * c)
+            if s:
+                h[p] = s
+            else:
+                del h[p]
     return Polynomial(ring, rem)
 
 
@@ -572,12 +622,28 @@ def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of f and g.
 
     Precondition: f and g are monic (as `buchberger` builds its basis), so
-    each is only shifted to the lcm of the two leading monomials.
+    each is only shifted to the lcm of the two leading monomials, where the
+    leading terms cancel: one pass writes f's shifted tail, the next
+    subtracts g's. A shifted term that crosses a field raises.
     """
+    ring = f.ring
     fm, gm = f.lm(), g.lm()
-    l = f.ring.lcm(fm, gm)
-    one = f.ring.field.one
-    return f.mul_term(l - fm, one).sub(g.mul_term(l - gm, one))
+    l = ring.lcm(fm, gm)
+    guards, red, zero = ring._guards, ring.field.red, ring.field.zero
+    s = {}
+    for terms, lead, sign in ((f.terms, fm, 1), (g.terms, gm, -1)):
+        q = l - lead
+        for m, c in terms.items():
+            if m != lead:
+                p = m + q
+                if p & guards:
+                    ring._check_guards(p)
+                v = red(s.get(p, zero) + sign * c)
+                if v:
+                    s[p] = v
+                else:
+                    del s[p]
+    return Polynomial(ring, s)
 
 
 def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
@@ -590,14 +656,13 @@ def _interreduce(gb: list[Polynomial]) -> list[Polynomial]:
     an already kept (and already reduced) element can divide it.
     """
     kept: list[Polynomial] = []
-    table: list[tuple] = []  # division_table(kept)
     if not gb:
         return kept
     ring = gb[0].ring
-    key, guards, one = ring.key, ring._guards, ring.field.one
+    key, one = ring.key, ring.field.one
+    table = DivisionTable(ring._guards)  # division_table(kept)
     for p in sorted(gb, key=lambda p: key(p.lm())):
-        pg = p.lm() | guards
-        if not any((pg - q[0]) & guards == guards for q in table):
+        if table.divisor(p.lm()) is None:
             r = normal_form(p, kept, table)
             kept.append(r)
             table.append((r.lm(), one, r.terms))  # r is monic
@@ -611,16 +676,33 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     Weispfenning's UPDATE, their form of Gebauer & Moeller's installation
     (Gebauer & Moeller, "On an installation of Buchberger's algorithm", JSC
     1988; Becker & Weispfenning, Groebner Bases, 1993, 5.5). The new element
-    h pairs with every live element, one whose leading monomial no later
-    element divides. In that candidate order, criteria M and F drop a pair
-    when a later candidate or a kept one has an lcm dividing its own. A
-    trivial pair, one with coprime leading monomials or one between two
-    monomials, has an S-polynomial that reduces to zero: it is kept only
-    long enough to drop others, then dropped. Criterion B_k drops each
-    pending pair (i, j) whose lcm lm(h) divides and differs from lcm(i, h)
-    and lcm(j, h). Last, the elements whose leading monomial lm(h) divides
-    stop being live. The lcm of every candidate pair is formed, so an lcm
-    past MAX_EXPONENT raises.
+    h pairs with live elements, those whose leading monomial no later
+    element divides; no live leading monomial divides another. In that
+    candidate order, criteria M and F drop a pair when a later candidate or
+    a kept one has an lcm dividing its own. Criterion B_k drops each pending
+    pair (i, j) whose lcm lm(h) divides and differs from lcm(i, h) and
+    lcm(j, h). Last, the elements whose leading monomial lm(h) divides stop
+    being live; none does when lm(h) is above every leading monomial so far,
+    as a divisor is never above its multiple in the order.
+
+    Trivial pairs, whose S-polynomials reduce to zero, are never candidates.
+    A pair with coprime leading monomials (disjoint supports) is one: its
+    lcm lm(i)*lm(h) divides another candidate's lcm(lm(j), lm(h)) only if
+    lm(i) divides lm(j), so it drops nothing either. A pair of two monomials
+    is the other: the live monomials and the live non-monomials are kept
+    apart, in install order, and a new monomial h pairs only with the live
+    non-monomials. As lm(h) divides every candidate's lcm, its pair with a
+    live monomial m would drop a candidate exactly when m divides that lcm,
+    which criterion M asks directly. So the pairs reduced are those of the
+    installation that forms every pair (Miller & Sturmfels, Combinatorial
+    Commutative Algebra, 2005, ch. 1, for monomial S-pairs).
+
+    Overflow: the lcm of each candidate is formed, so one past MAX_EXPONENT
+    raises, and so does a coprime pair whose two stored degrees sum past it.
+    A new monomial's lcms with the live monomials are formed only when the
+    largest monomial degree so far plus its own passes MAX_EXPONENT, as
+    below that none can overflow. An S-polynomial term that crosses a field
+    raises in `_s_polynomial`.
 
     Normal selection: pending pairs sit in a heap keyed, once when the pair
     is created, by (lcm degree, lcm order key, indices), so pairs leave it
@@ -636,48 +718,79 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
         if g.ring != ring:
             raise OrderMismatch("generator from a different ring")
     degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
+    # a support is the guard bits of the positive variable fields, and an
+    # lcm's overflow check reads the degree field
+    ones, keep, top = guards >> FIELD_BITS - 1, guards & ring._xmask, ring._top
     one = ring.field.one
     basis: list[Polynomial] = []
-    table: list[tuple] = []  # division_table(basis)
+    table = DivisionTable(guards)  # division_table(basis)
     lms: list[int] = []
-    live: list[int] = []
+    sups: list[int] = []  # the support of each leading monomial
+    degs: list[int] = []  # the degree field of each (an elim ring leaves @t out)
+    live: list[int] = []  # the live non-monomials
+    mlive: list[int] = []  # the live monomials
+    mdeg = 0  # the largest degree of a monomial element
+    kmax = -1  # the largest order key of a leading monomial
     queue: list[tuple] = []
 
     def install(h: Polynomial) -> None:
-        nonlocal live, queue
+        nonlocal live, mlive, mdeg, kmax, queue
         n, hm, hmono = len(basis), h.lm(), len(h.terms) == 1
+        hs, hd = ((hm | guards) - ones) & keep, hm >> top & _FIELD
         basis.append(h)
         table.append((hm, one, h.terms))  # h is monic
         lms.append(hm)
-        cands = []  # (lcm, i, trivial)
-        for i in live:
-            l = lcm(lms[i], hm)
-            cands.append((l, i, l == lms[i] + hm or hmono and len(basis[i].terms) == 1))
+        sups.append(hs)
+        degs.append(hd)
+        if hmono:
+            if mdeg + hd > MAX_EXPONENT:
+                for i in sorted(live + mlive):
+                    lcm(lms[i], hm)  # the first lcm past MAX_EXPONENT raises
+            mdeg = max(mdeg, hd)
+            others = live
+        else:
+            others = sorted(live + mlive)  # install order
+        cands = []  # (lcm, i) of the pairs whose supports meet
+        for i in others:
+            if sups[i] & hs:
+                cands.append((lcm(lms[i], hm), i))
+            else:
+                d = degs[i] + hd
+                if d > MAX_EXPONENT:
+                    raise MonomialOverflow(f"degree {d} exceeds {MAX_EXPONENT}")
         kept = []  # criteria M and F
         for c, cand in enumerate(cands):
-            l, _, trivial = cand
-            lg = l | guards
-            if trivial or not any(
-                (lg - e[0]) & guards == guards for e in chain(islice(cands, c + 1, None), kept)
+            lg = cand[0] | guards
+            if not (
+                any(
+                    (lg - e[0]) & guards == guards
+                    for e in chain(islice(cands, c + 1, None), kept)
+                )
+                or hmono
+                and any((lg - lms[m]) & guards == guards for m in mlive)
             ):
                 kept.append(cand)
         gone = set()  # criterion B_k
+        with_h = {i: l for l, i in cands}
         for _, _, (i, j), l in queue:
             if (
                 ((l | guards) - hm) & guards == guards
-                and lcm(lms[i], hm) != l
-                and lcm(lms[j], hm) != l
+                and (with_h[i] if i in with_h else lcm(lms[i], hm)) != l
+                and (with_h[j] if j in with_h else lcm(lms[j], hm)) != l
             ):
                 gone.add((i, j))
         if gone:
             queue = [e for e in queue if e[2] not in gone]
             heapify(queue)
-        for l, i, trivial in kept:
-            if not trivial:
-                # (i, n) is unique, so the lcm in the last slot is never compared
-                heappush(queue, (degree(l), key(l), (i, n), l))
-        live = [i for i in live if ((lms[i] | guards) - hm) & guards != guards]
-        live.append(n)
+        for l, i in kept:
+            # (i, n) is unique, so the lcm in the last slot is never compared
+            heappush(queue, (degree(l), key(l), (i, n), l))
+        hk = key(hm)
+        if hk <= kmax:
+            live = [i for i in live if ((lms[i] | guards) - hm) & guards != guards]
+            mlive = [i for i in mlive if ((lms[i] | guards) - hm) & guards != guards]
+        kmax = max(kmax, hk)
+        (mlive if hmono else live).append(n)
 
     # progressive reduction keeps the ideal intact (unlike dropping a
     # generator because its leading term repeats, which is only sound
@@ -781,12 +894,11 @@ def _minimalize(monos, guards: int) -> tuple[int, ...]:
     A divisor of m is m less a monomial, so never a larger int: one ascending
     pass keeps each monomial that no kept one divides.
     """
-    out: list[int] = []
+    out = DivisionTable(guards)
     for m in sorted(set(monos)):
-        mg = m | guards
-        if not any((mg - q) & guards == guards for q in out):
-            out.append(m)
-    return tuple(out)
+        if out.divisor(m) is None:
+            out.append((m,))
+    return tuple(row[0] for row in out)
 
 
 def _hilbert_numerator(gens: tuple[int, ...], ring: Ring, memo: dict) -> tuple[int, ...]:

@@ -68,6 +68,10 @@ class RewriterDiverged(RuntimeError):
     """The rewriter took more slides than the matrix has positions squared."""
 
 
+class NoSlide(RuntimeError):
+    """The rewriter asked to slide a pair that no scroll minor moves."""
+
+
 class NoColorationFound(RuntimeError):
     """No coloration satisfying the binomial conditions exists."""
 
@@ -147,11 +151,14 @@ def _slide(m: ScrollMatrix, p: tuple[int, int], q: tuple[int, int]):
     """One slide of a non-canonical pair: its new positions and the two
     columns of the minor that moves it."""
     (pb, pi), (qb, qi) = p, q
+    last = len(m.blocks[pb].run) - 1
     if pb == qb:
-        assert pi >= 1 and qi <= len(m.blocks[pb].run) - 2, "no slide available"
+        if pi < 1 or qi >= last:
+            raise NoSlide(f"no slide available for positions {p} and {q}")
         c1, c2 = _global_column(m, pb, pi - 1), _global_column(m, pb, qi)
         return (pb, pi - 1), (qb, qi + 1), c1, c2
-    assert pi <= len(m.blocks[pb].run) - 2 and qi >= 1, "no slide available"
+    if pi >= last or qi < 1:
+        raise NoSlide(f"no slide available for positions {p} and {q}")
     c1, c2 = _global_column(m, pb, pi), _global_column(m, qb, qi - 1)
     return (pb, pi + 1), (qb, qi - 1), c1, c2
 

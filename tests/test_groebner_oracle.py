@@ -9,7 +9,12 @@ field, on inhomogeneous pairs over GF(32003) under deglex and degrevlex, and
 on one inhomogeneous pair under lex. `chain_criterion_buchberger`, the
 engine's earlier pair loop (a treated-pair set and a chain-criterion scan per
 pair), is the reference for the Gebauer-Moeller installation, in the base
-rings and in the elimination ring of `ideal_intersection`. The one-pass
+rings and in the elimination ring of `ideal_intersection`.
+`gebauer_moeller_buchberger`, the installation that pairs every element,
+monomials included, is the reference for the pairs reduced: on ideals with
+more monomials than other generators, under the three orders and an elim
+ring, over GF(32003), GF(4294967311) and the rationals, `buchberger` must
+give the same basis with the same `s_pairs` and `normal_forms`. The one-pass
 `_interreduce` must turn any monic Groebner basis with redundant members back
 into the reduced basis. `hilbert_data` must count, degree by degree, the
 monomials outside the leading ideal of sympy's basis. sympy is a test-only
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 from math import comb
 
 import pytest
@@ -32,14 +37,18 @@ from binomext.poly import (
     PrimeField,
     RationalField,
     Ring,
+    _bump,
     _interreduce,
     _s_polynomial,
     _to_elim_ring,
     buchberger,
+    counters,
+    division_table,
     hilbert_data,
     ideal_intersection,
     krull_dimension_lt,
     normal_form,
+    reset_counters,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -184,6 +193,68 @@ def chain_criterion_buchberger(generators: list, ring: Ring) -> list:
     return _interreduce(basis)
 
 
+def gebauer_moeller_buchberger(generators: list, ring: Ring) -> list:
+    """The reduced basis by the engine's earlier installation: each new
+    element forms a candidate pair with every live element, monomials
+    included, and UPDATE's criteria run over all of them; the S-polynomial
+    is built by shifting and subtracting whole polynomials. Bumps the same
+    `s_pairs` and `normal_forms` counters as `buchberger`."""
+    gens = [g for g in generators if g.terms]
+    degree, key, lcm, guards = ring.degree, ring.key, ring.lcm, ring._guards
+    one = ring.field.one
+    basis, lms, live, queue = [], [], [], []
+    table = division_table(basis, ring)
+
+    def install(h) -> None:
+        nonlocal live, queue
+        n, hm, hmono = len(basis), h.lm(), len(h.terms) == 1
+        basis.append(h)
+        table.append((hm, one, h.terms))  # h is monic
+        lms.append(hm)
+        cands = []  # (lcm, i, trivial)
+        for i in live:
+            l = lcm(lms[i], hm)
+            cands.append((l, i, l == lms[i] + hm or hmono and len(basis[i].terms) == 1))
+        kept = []  # criteria M and F
+        for c, cand in enumerate(cands):
+            l, _, trivial = cand
+            lg = l | guards
+            if trivial or not any(
+                (lg - e[0]) & guards == guards for e in chain(islice(cands, c + 1, None), kept)
+            ):
+                kept.append(cand)
+        gone = set()  # criterion B_k
+        for _, _, (i, j), l in queue:
+            if (
+                ((l | guards) - hm) & guards == guards
+                and lcm(lms[i], hm) != l
+                and lcm(lms[j], hm) != l
+            ):
+                gone.add((i, j))
+        if gone:
+            queue = [e for e in queue if e[2] not in gone]
+            heapify(queue)
+        for l, i, trivial in kept:
+            if not trivial:
+                heappush(queue, (degree(l), key(l), (i, n), l))
+        live = [i for i in live if ((lms[i] | guards) - hm) & guards != guards]
+        live.append(n)
+
+    for g in sorted(gens, key=lambda p: p.sort_key()):
+        r = normal_form(g, basis, table)
+        if r.terms:
+            install(r.monic())
+    while queue:
+        _, _, (i, j), l = heappop(queue)
+        _bump("s_pairs")
+        f, g = basis[i], basis[j]
+        s = f.mul_term(l - f.lm(), one).sub(g.mul_term(l - g.lm(), one))
+        r = normal_form(s, basis, table)
+        if r.terms:
+            install(r.monic())
+    return _interreduce(basis)
+
+
 ALL_SETTINGS = tuple(
     (field, order) for field in (PrimeField(P), RationalField()) for order in SYMPY_ORDER
 )
@@ -243,6 +314,49 @@ def test_pair_installation_matches_the_chain_criterion_reference(pair) -> None:
             field.name,
             order,
         )
+
+
+@st.composite
+def monomial_majority_ideals(draw, nvars: int) -> list:
+    """Generators as lists of (exponents, coeff) in nvars variables: more
+    monomials than binomials and trinomials together, as in the extension
+    ideal B. A polynomial's terms have one degree with probability one
+    half, else each later term draws its own."""
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def mono(degree: int) -> tuple:
+        vs = draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree))
+        return tuple(vs.count(v) for v in range(nvars))
+
+    nmono = draw(st.integers(2, 6))
+    gens = [[(mono(draw(st.integers(1, 3))), draw(coeff))] for _ in range(nmono)]
+    for _ in range(draw(st.integers(1, nmono - 1))):
+        degree, homogeneous = draw(st.integers(1, 3)), draw(st.booleans())
+        terms = {}
+        for k in range(draw(st.integers(2, 3))):
+            terms[mono(degree if homogeneous or not k else draw(st.integers(0, 3)))] = draw(coeff)
+        gens.append(list(terms.items()))
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nvars=st.integers(2, 4), inner=st.sampled_from(tuple(SYMPY_ORDER)))
+def test_monomial_part_installation_matches_the_reference(data, nvars, inner) -> None:
+    # the same reduced basis from the same pairs: s_pairs and normal_forms
+    # agree with the installation that pairs every element, under the three
+    # orders and an elim ring (its first variable @t), over three fields
+    for field in (PrimeField(P), PrimeField(4294967311), RationalField()):
+        rings = [_ring(nvars, field, order) for order in SYMPY_ORDER]
+        names = ("@t",) + tuple(f"x{i}" for i in range(nvars))
+        rings.append(Ring(names, field, MonomialOrder("elim", inner)))
+        for ring in rings:
+            gens = _polys(ring, data.draw(monomial_majority_ideals(ring.nvars)))
+            reset_counters()
+            want = gebauer_moeller_buchberger(gens, ring)
+            spent = dict(counters)
+            reset_counters()
+            assert buchberger(gens, ring) == want, (field.name, ring.order)
+            assert counters == spent, (field.name, ring.order)
 
 
 @settings(max_examples=150, deadline=None)

@@ -355,6 +355,26 @@ def test_packed_monomials_match_the_tuple_reference(data, order, nvars) -> None:
 
 
 @settings(max_examples=200, deadline=None)
+@given(data=st.data(), order=st.sampled_from(ORDERS), nvars=st.integers(1, 6))
+def test_division_table_finds_the_first_divisor_in_table_order(data, order, nvars) -> None:
+    # small exponents, the constant included, so that several rows divide
+    if order.kind == "elim":
+        nvars += 1
+    r = Ring(tuple(f"x{i}" for i in range(nvars)), PrimeField(), order)
+    monos = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    lms = [r.pack(e) for e in data.draw(st.lists(monos, max_size=16))]
+    table = poly.DivisionTable(r._guards)
+    for k, lm in enumerate(lms):
+        table.append((lm, k))
+        for m in map(r.pack, data.draw(st.lists(monos, max_size=6))):
+            want = next((j for j in range(k + 1) if r.divides(lms[j], m)), None)
+            got = table.divisor(m)
+            assert (None if got is None else got[0]) == want
+            if got is not None:
+                assert got[1:] == table[want]
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), order=st.sampled_from(ORDERS), nvars=st.integers(1, 12))
 def test_joined_names_print_the_square_free_monomial(data, order, nvars) -> None:
     if order.kind == "elim":
@@ -391,6 +411,37 @@ def test_overflow_is_a_typed_error() -> None:
     with pytest.raises(MonomialOverflow):
         r.lcm(top, y)
     assert issubclass(MonomialOverflow, ValueError)
+
+
+def test_buchberger_raises_past_the_largest_degree() -> None:
+    top = MAX_EXPONENT
+    r = ring("x y z w")
+    lex = ring("x y z", order="lex")
+    cases = [
+        # two monomials: a pair of them is never queued, but its lcm still
+        # overflows, whether the supports meet (x^top and x*y) or not
+        (r, [[((top, 0, 0, 0), 1)], [((1, 1, 0, 0), 1)]]),
+        (r, [[((top, 0, 0, 0), 1)], [((0, 1, 0, 0), 1)]]),
+        # two binomials with coprime leading monomials: the lcm is their
+        # product, of degree top + 2
+        (
+            r,
+            [
+                [((top, 0, 0, 0), 1), ((0, top, 0, 0), -1)],
+                [((0, 0, 2, 0), 1), ((0, 0, 0, 2), -1)],
+            ],
+        ),
+        # lcm(x*z, x*y) = x*y*z, but the S-polynomial's tail term z * z^top
+        # crosses the z field
+        (lex, [[((1, 0, 1), 1)], [((1, 1, 0), 1), ((0, 0, top), -1)]]),
+    ]
+    for rr, gens in cases:
+        with pytest.raises(MonomialOverflow):
+            buchberger([poly_of(rr, g) for g in gens], rr)
+    xz, f = (poly_of(lex, g) for g in cases[-1][1])
+    assert lex.degree(lex.lcm(xz.lm(), f.lm())) == 3
+    with pytest.raises(MonomialOverflow, match="a product exceeds"):
+        poly._s_polynomial(xz, f)
 
 
 def test_unknown_order_rejected() -> None:

@@ -3,7 +3,12 @@ reduction numbers, and the end-to-end verifier."""
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from binomext import (
     ContainmentFailed,
     HypothesisFailed,
     NoColorationFound,
+    NoSlide,
     NotADTree,
     NotInMatrix,
     NotSOP,
@@ -125,6 +131,37 @@ def test_a_rewriter_that_never_reaches_a_family_stops_at_its_bound(greduit, monk
     bound = sum(len(b.run) for b in m.blocks) ** 2
     with pytest.raises(RewriterDiverged, match=f"^no canonical family after {bound} slides$"):
         modB_normal_pair(m, vid(greduit, "x"), vid(greduit, "c"), greduit.ring)
+
+
+# a block's first position cannot slide toward the start, and its last
+# cannot slide toward the end
+NO_SLIDE_MATRIX = ScrollMatrix(0, (ScrollBlock((0, 1, 2)), ScrollBlock((3, 4))))
+NO_SLIDE_PAIRS = (((0, 0), (0, 2)), ((0, 1), (0, 2)), ((0, 2), (1, 1)), ((0, 1), (1, 0)))
+
+
+def test_a_pair_with_no_slide_is_a_typed_error() -> None:
+    for p, q in NO_SLIDE_PAIRS:
+        message = f"no slide available for positions {p} and {q}"
+        with pytest.raises(NoSlide, match=re.escape(message)):
+            reduce_module._slide(NO_SLIDE_MATRIX, p, q)
+    # each of the four pairs raises under python -O too, which strips asserts
+    code = (
+        "from binomext.extension import ScrollBlock, ScrollMatrix\n"
+        "from binomext.reduce import NoSlide, _slide\n"
+        f"m = {NO_SLIDE_MATRIX!r}\n"
+        f"for p, q in {NO_SLIDE_PAIRS!r}:\n"
+        "    try:\n"
+        "        _slide(m, p, q)\n"
+        "    except NoSlide:\n"
+        "        print('NoSlide')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["NoSlide"] * len(NO_SLIDE_PAIRS)
 
 
 def test_rewrite_rejects_two_endpoints(greduit) -> None:
