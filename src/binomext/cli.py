@@ -20,7 +20,6 @@ from .color import (
     g_prime_graph,
     is_binomial_coloration,
     is_good_coloration,
-    reduction_vectors,
 )
 from .complexes import (
     DuplicateVertexInFacet,
@@ -62,15 +61,14 @@ from .poly import (
     rref_rows,
 )
 from .reduce import (
-    REDUCTION_FAILURES,
     BothXVariables,
     ContainmentFailed,
     HypothesisFailed,
     NoColorationFound,
     degree_containment,
+    fallback_reduction,
     modB_normal_pair,
     monomial_covered,
-    reduction_number,
     verify_main_theorem,
 )
 
@@ -470,10 +468,10 @@ def _cmd_color(model: Model) -> tuple[bool, dict]:
 
 
 def _cmd_reduce(model: Model) -> tuple[bool, dict]:
-    ext, ring, rho_max = model.ext, model.ring, model.doc.rho_max
+    ext, ring = model.ext, model.ring
     try:
         rep = verify_main_theorem(ext, ring)
-        sections = {
+        return True, {
             "coloration": _coloration_section(ext, rep.coloration, rep.method),
             "reduction": {
                 "theorem_applies": True,
@@ -485,33 +483,18 @@ def _cmd_reduce(model: Model) -> tuple[bool, dict]:
                 **_reduction_section(rep.reduction),
             },
         }
-        return True, sections
     except (NoColorationFound, HypothesisFailed, ContainmentFailed) as exc:
-        failure = f"{type(exc).__name__}: {exc}"
+        reduction = {"theorem_applies": False, "failure": f"{type(exc).__name__}: {exc}"}
 
-    col, method = find_coloration(ext, require_good=False)
-    if col is None:
-        return False, {
-            "coloration": None,
-            "reduction": {"theorem_applies": False, "failure": failure},
-        }
-    sections = {"coloration": _coloration_section(ext, col, method)}
     b = binomial_extension_ideal(ext, ring)
-    try:
-        vectors = reduction_vectors(col, ring)
-        rep = reduction_number(vectors, b, rho_max)
-    except REDUCTION_FAILURES as exc:
-        sections["reduction"] = {
-            "theorem_applies": False,
-            "failure": f"{failure}; then {type(exc).__name__}: {exc}",
-        }
+    col, method, _, rep, reason = fallback_reduction(ext, b, model.doc.rho_max)
+    if col is None:
+        return False, {"coloration": None, "reduction": reduction}
+    sections = {"coloration": _coloration_section(ext, col, method), "reduction": reduction}
+    if rep is None:
+        reduction["failure"] += f"; then {reason}"
         return False, sections
-    sections["reduction"] = {
-        "theorem_applies": False,
-        "failure": failure,
-        "facet_conditions": None,
-        **_reduction_section(rep),
-    }
+    reduction.update(facet_conditions=None, **_reduction_section(rep))
     return rep.reduction_number is not None, sections
 
 
@@ -627,20 +610,13 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
                     rewrite_ok = False
     record("rewriter", rewrite_ok, f"{pairs} variable pairs checked")
 
-    col, method = find_coloration(ext, require_good=False)
-    vectors = rep = None
-    if col is not None:
-        try:
-            vectors = reduction_vectors(col, ring)
-            rep = reduction_number(vectors, b, rho_max)
-        except REDUCTION_FAILURES:
-            pass  # without a reduction number only rho = 1 is cross-checked
+    col, method, vectors, rep, _ = fallback_reduction(ext, b, rho_max)
     if col is None:
         record("containment", True, "skipped: no coloration available")
     elif vectors is None:
         record("containment", True, f"skipped: the {method} coloration leaves a class empty")
     else:
-        rhos = [1]
+        rhos = [1]  # without a reduction number only rho = 1 is cross-checked
         if rep is not None and rep.reduction_number not in (None, 1):
             rhos.append(rep.reduction_number)
         cont_ok = True

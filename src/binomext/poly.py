@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from functools import reduce
-from itertools import chain, combinations_with_replacement, islice
+from itertools import accumulate, chain, combinations_with_replacement, islice
 from operator import or_
 
 
@@ -697,12 +697,11 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     installation that forms every pair (Miller & Sturmfels, Combinatorial
     Commutative Algebra, 2005, ch. 1, for monomial S-pairs).
 
-    Overflow: the lcm of each candidate is formed, so one past MAX_EXPONENT
-    raises, and so does a coprime pair whose two stored degrees sum past it.
-    A new monomial's lcms with the live monomials are formed only when the
-    largest monomial degree so far plus its own passes MAX_EXPONENT, as
-    below that none can overflow. An S-polynomial term that crosses a field
-    raises in `_s_polynomial`.
+    Overflow: an lcm's degree is at most the sum of its two degrees, so
+    none can pass MAX_EXPONENT while h's degree plus the largest degree so
+    far does not. Only past that bound are h's lcms with every live element
+    formed, in install order, and the first past MAX_EXPONENT raises. An
+    S-polynomial term that crosses a field raises in `_s_polynomial`.
 
     Normal selection: pending pairs sit in a heap keyed, once when the pair
     is created, by (lcm degree, lcm order key, indices), so pairs leave it
@@ -726,38 +725,26 @@ def buchberger(generators: list[Polynomial], ring: Ring | None = None) -> list[P
     table = DivisionTable(guards)  # division_table(basis)
     lms: list[int] = []
     sups: list[int] = []  # the support of each leading monomial
-    degs: list[int] = []  # the degree field of each (an elim ring leaves @t out)
     live: list[int] = []  # the live non-monomials
     mlive: list[int] = []  # the live monomials
-    mdeg = 0  # the largest degree of a monomial element
+    dmax = 0  # the largest degree field of an element (an elim ring leaves @t out)
     kmax = -1  # the largest order key of a leading monomial
     queue: list[tuple] = []
 
     def install(h: Polynomial) -> None:
-        nonlocal live, mlive, mdeg, kmax, queue
+        nonlocal live, mlive, dmax, kmax, queue
         n, hm, hmono = len(basis), h.lm(), len(h.terms) == 1
         hs, hd = ((hm | guards) - ones) & keep, hm >> top & _FIELD
         basis.append(h)
         table.append((hm, one, h.terms))  # h is monic
         lms.append(hm)
         sups.append(hs)
-        degs.append(hd)
-        if hmono:
-            if mdeg + hd > MAX_EXPONENT:
-                for i in sorted(live + mlive):
-                    lcm(lms[i], hm)  # the first lcm past MAX_EXPONENT raises
-            mdeg = max(mdeg, hd)
-            others = live
-        else:
-            others = sorted(live + mlive)  # install order
-        cands = []  # (lcm, i) of the pairs whose supports meet
-        for i in others:
-            if sups[i] & hs:
-                cands.append((lcm(lms[i], hm), i))
-            else:
-                d = degs[i] + hd
-                if d > MAX_EXPONENT:
-                    raise MonomialOverflow(f"degree {d} exceeds {MAX_EXPONENT}")
+        if hd + dmax > MAX_EXPONENT:
+            for i in sorted(live + mlive):
+                lcm(lms[i], hm)  # the first lcm past MAX_EXPONENT raises
+        dmax = max(dmax, hd)
+        others = live if hmono else sorted(live + mlive)  # install order
+        cands = [(lcm(lms[i], hm), i) for i in others if sups[i] & hs]  # supports meet
         kept = []  # criteria M and F
         for c, cand in enumerate(cands):
             lg = cand[0] | guards
@@ -961,16 +948,10 @@ def hilbert_data(gb: list[Polynomial], ring: Ring) -> HilbertData:
     while trim and trim[-1] == 0:
         trim = trim[:-1]
     num = tuple(trim) if trim else (0,)
-    codim = 0
-    q = list(num)
+    codim, q = 0, list(num)
     while sum(q) == 0:
         # divide by (1 - t): running prefix sums
-        acc = 0
-        out = []
-        for c in q[:-1]:
-            acc += c
-            out.append(acc)
-        q = out or [0]
+        q = list(accumulate(q[:-1])) or [0]
         codim += 1
     degree = sum(q)
     assert degree >= 1, "nonzero quotient has positive degree"

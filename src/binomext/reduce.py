@@ -226,22 +226,19 @@ def _graded_coverage(
 
     Computed once per run scope for each ring, forms, generators and rho.
     """
-    key = ("coverage", b.ring, tuple(vectors.forms), tuple(b.generators), rho)
-    return memoized(key, lambda: _compute_graded_coverage(vectors, b, rho))
-
-
-def _compute_graded_coverage(
-    vectors: ReductionVectors, b: IdealPresentation, rho: int
-) -> tuple[tuple[int, ...], frozenset[int]]:
     ring = b.ring
-    gb = _basis_with_forms(vectors, b)
-    table = division_table(gb, ring)
-    one = ring.field.one
-    cols = tuple(ring.monomials_of_degree(rho + 1))
-    covered = frozenset(
-        m for m in cols if not normal_form(Polynomial(ring, {m: one}), gb, table).terms
-    )
-    return cols, covered
+
+    def compute() -> tuple[tuple[int, ...], frozenset[int]]:
+        gb = _basis_with_forms(vectors, b)
+        table = division_table(gb, ring)
+        one = ring.field.one
+        cols = tuple(ring.monomials_of_degree(rho + 1))
+        covered = frozenset(
+            m for m in cols if not normal_form(Polynomial(ring, {m: one}), gb, table).terms
+        )
+        return cols, covered
+
+    return memoized(("coverage", ring, tuple(vectors.forms), tuple(b.generators), rho), compute)
 
 
 def degree_containment(
@@ -303,6 +300,8 @@ def reduction_number(
     vectors: ReductionVectors, b: IdealPresentation, rho_max: int = 10
 ) -> ReductionReport:
     """Smallest rho <= rho_max with the degree containment; requires SOP."""
+    if rho_max < 1:
+        raise ValueError(f"rho_max must be at least 1, got {rho_max}")
     if not verify_sop(vectors, b):
         raise NotSOP("forms do not generate a zero-dimensional quotient with B")
     verdicts: list[tuple[int, bool]] = []
@@ -326,7 +325,7 @@ def reduction_number(
 
 
 # ---------------------------------------------------------------------------
-# end-to-end verifier
+# end-to-end verifier and its fallback
 
 
 @dataclass(frozen=True)
@@ -413,3 +412,26 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
         facet_conditions=conditions,
         reduction=report,
     )
+
+
+def fallback_reduction(ext: ExtensionComplex, b: IdealPresentation, rho_max: int = 10) -> tuple[
+    Coloration | None, str, ReductionVectors | None, ReductionReport | None, str | None
+]:
+    """The certificate when the main theorem does not apply: the smallest
+    rho <= rho_max with the degree containment, for the reduction vectors of
+    the first binomial coloration, good or not, and b, the caller's B.
+
+    Returns (coloration, method, vectors, report, reason). The coloration is
+    None when none exists. When one of REDUCTION_FAILURES stops the
+    certificate, the report is None and the reason names the failure; the
+    vectors are None too when a class is empty.
+    """
+    col, method = find_coloration(ext, require_good=False)
+    if col is None:
+        return None, method, None, None, None
+    vectors = None
+    try:
+        vectors = reduction_vectors(col, b.ring)
+        return col, method, vectors, reduction_number(vectors, b, rho_max), None
+    except REDUCTION_FAILURES as exc:
+        return col, method, vectors, None, f"{type(exc).__name__}: {exc}"

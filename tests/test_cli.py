@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomext import DuplicatePointName, OrderMismatch, Ring, binomial_extension_ideal, cli, color
+import binomext.reduce as reduce_module
+from binomext import DuplicatePointName, OrderMismatch, Ring, binomial_extension_ideal, color
 from binomext.cli import (
     COMMANDS,
     EXIT_INPUT_ERROR,
@@ -389,7 +390,7 @@ def test_reduce_fallback_does_not_turn_engine_faults_into_verdicts(monkeypatch) 
     def fault(*args, **kwargs):
         raise OrderMismatch("polynomials from different rings")
 
-    monkeypatch.setattr(cli, "reduction_number", fault)
+    monkeypatch.setattr(reduce_module, "reduction_number", fault)
     path = str(FIXTURES / "cycles_full.json")
     with pytest.raises(OrderMismatch):
         run("reduce", parse_input(path))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -420,8 +421,8 @@ def test_buchberger_raises_past_the_largest_degree() -> None:
     cases = [
         # two monomials: a pair of them is never queued, but its lcm still
         # overflows, whether the supports meet (x^top and x*y) or not
-        (r, [[((top, 0, 0, 0), 1)], [((1, 1, 0, 0), 1)]]),
-        (r, [[((top, 0, 0, 0), 1)], [((0, 1, 0, 0), 1)]]),
+        (r, [[((top, 0, 0, 0), 1)], [((1, 1, 0, 0), 1)]], f"degree {top + 1} exceeds {top}"),
+        (r, [[((top, 0, 0, 0), 1)], [((0, 1, 0, 0), 1)]], f"degree {top + 1} exceeds {top}"),
         # two binomials with coprime leading monomials: the lcm is their
         # product, of degree top + 2
         (
@@ -430,14 +431,27 @@ def test_buchberger_raises_past_the_largest_degree() -> None:
                 [((top, 0, 0, 0), 1), ((0, top, 0, 0), -1)],
                 [((0, 0, 2, 0), 1), ((0, 0, 0, 2), -1)],
             ],
+            f"degree {top + 2} exceeds {top}",
+        ),
+        # a new monomial whose supports meet a live binomial's, no two
+        # monomials overflowing: lcm(y^20000, x*y^5*z^15000) has degree 35001
+        (
+            lex,
+            [[((0, 20000, 0), 1), ((0, 0, 1), 1)], [((1, 5, 15000), 1)]],
+            f"degree 35001 exceeds {top}",
         ),
         # lcm(x*z, x*y) = x*y*z, but the S-polynomial's tail term z * z^top
         # crosses the z field
-        (lex, [[((1, 0, 1), 1)], [((1, 1, 0), 1), ((0, 0, top), -1)]]),
+        (
+            lex,
+            [[((1, 0, 1), 1)], [((1, 1, 0), 1), ((0, 0, top), -1)]],
+            f"a product exceeds exponent or degree {top}",
+        ),
     ]
-    for rr, gens in cases:
-        with pytest.raises(MonomialOverflow):
-            buchberger([poly_of(rr, g) for g in gens], rr)
+    for rr, gens, message in cases:
+        for order in (gens, gens[::-1]):
+            with pytest.raises(MonomialOverflow, match=f"^{re.escape(message)}$"):
+                buchberger([poly_of(rr, g) for g in order], rr)
     xz, f = (poly_of(lex, g) for g in cases[-1][1])
     assert lex.degree(lex.lcm(xz.lm(), f.lm())) == 3
     with pytest.raises(MonomialOverflow, match="a product exceeds"):

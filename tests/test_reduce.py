@@ -58,8 +58,9 @@ from binomext.cli import _rank_coverage as rank_coverage
 from binomext.cli import build_model, parse_document, run
 from binomext.color import EmptyClass, find_coloration
 from binomext.poly import counters
-from binomext.reduce import ReductionReport
+from binomext.reduce import ReductionReport, fallback_reduction
 from conftest import (
+    FIXTURES,
     extension_document,
     random_dtree_extension,
     random_scroll_extension,
@@ -363,6 +364,65 @@ def test_reduction_bound_can_be_exhausted(cycles_full) -> None:
     assert report.verdicts == ((1, False),)
 
 
+def test_reduction_number_rejects_a_bound_below_one(greduit, cycles_full) -> None:
+    b = binomial_extension_ideal(greduit.ext, greduit.ring)
+    vecs = reduction_vectors(dtree_coloration(greduit.ext), greduit.ring)
+    b_full = binomial_extension_ideal(cycles_full.ext, cycles_full.ring)
+    for rho_max in (0, -3):
+        message = f"^rho_max must be at least 1, got {rho_max}$"
+        with run_scope():
+            with pytest.raises(ValueError, match=message):
+                reduction_number(vecs, b, rho_max)
+            # raised before any basis is computed
+            assert not counters
+        # the fallback passes its bound through
+        with pytest.raises(ValueError, match=message):
+            fallback_reduction(cycles_full.ext, b_full, rho_max)
+    # the same under python -O, which strips asserts
+    code = (
+        "from binomext import binomial_extension_ideal, dtree_coloration\n"
+        "from binomext import reduction_number, reduction_vectors\n"
+        "from binomext.cli import build_model, parse_input\n"
+        f"m = build_model(parse_input({str(FIXTURES / 'greduit.json')!r}))\n"
+        "b = binomial_extension_ideal(m.ext, m.ring)\n"
+        "vecs = reduction_vectors(dtree_coloration(m.ext), m.ring)\n"
+        "for rho_max in (0, -3):\n"
+        "    try:\n"
+        "        reduction_number(vecs, b, rho_max)\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError", "ValueError"]
+
+
+def test_the_fallback_finds_two_on_the_four_cycle_complex(cycles_full) -> None:
+    ext, ring = cycles_full.ext, cycles_full.ring
+    b = binomial_extension_ideal(ext, ring)
+    col, method, vecs, report, reason = fallback_reduction(ext, b)
+    # no coloration is good, so the search's first binomial coloration serves
+    assert (col, method) == find_coloration(ext, require_good=False)
+    assert method == "search"
+    assert vecs == reduction_vectors(col, ring)
+    assert report == reduction_number(vecs, b)
+    assert report.reduction_number == 2
+    assert report.verdicts == ((1, False), (2, True))
+    assert reason is None
+
+
+def test_the_fallback_names_an_empty_class(empty_class_document) -> None:
+    model = build_model(parse_document(empty_class_document))
+    b = binomial_extension_ideal(model.ext, model.ring)
+    col, method, vecs, report, reason = fallback_reduction(model.ext, b)
+    assert method == "dtree" and col.num_classes == 4
+    assert vecs is None and report is None
+    assert reason == "EmptyClass: class 3 is empty"
+
+
 def test_a_run_builds_each_graded_coverage_once(greduit) -> None:
     ring = greduit.ring
     vecs = reduction_vectors(dtree_coloration(greduit.ext), ring)
@@ -543,10 +603,11 @@ def test_verifier_reports_uncovered_monomials_as_containment_failure(greduit, mo
         verify_main_theorem(greduit.ext, greduit.ring)
 
 
-def test_an_empty_color_class_fails_the_hypothesis() -> None:
+@pytest.fixture
+def empty_class_document() -> dict:
     # the d-tree coloration of this simplex leaves class 3 without a vertex,
     # so there are only three reduction vectors for four classes
-    doc = {
+    return {
         "facets": [["v0", "v3", "v4", "v5"]],
         "extensions": [
             {
@@ -560,6 +621,10 @@ def test_an_empty_color_class_fails_the_hypothesis() -> None:
             }
         ],
     }
+
+
+def test_an_empty_color_class_fails_the_hypothesis(empty_class_document) -> None:
+    doc = empty_class_document
     model = build_model(parse_document(doc))
     with pytest.raises(HypothesisFailed, match="class 3 is empty"):
         verify_main_theorem(model.ext, model.ring)
