@@ -103,66 +103,47 @@ class UnknownName(ValueError):
 # input documents
 
 
-@dataclass(frozen=True)
-class EdgeInput:
-    target: str
-    points: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ExtensionInput:
-    facet: int
-    origin: str
-    edges: tuple[EdgeInput, ...]
-
-
-@dataclass(frozen=True)
-class InputDocument:
-    facets: tuple[tuple[str, ...], ...]
-    extensions: tuple[ExtensionInput, ...] = ()
-    vertices: tuple[str, ...] | None = None
-    comment: str | None = None
-    field_spec: int | str = 32003
-    order: str = "degrevlex"
-    rho_max: int = 10
-    seed: int = 0
-
-
 def _expect(cond: bool, where: str, what: str) -> None:
     if not cond:
         raise SchemaError(f"{where}: {what}")
 
 
-def _str_list(value, where: str) -> tuple[str, ...]:
+def _str_list(value, where: str) -> list[str]:
     _expect(isinstance(value, list), where, "expected a list of strings")
     for i, n in enumerate(value):
         _expect(isinstance(n, str) and n, f"{where}[{i}]", "expected a non-empty string")
-    return tuple(value)
+    return list(value)
 
 
-def parse_document(data) -> InputDocument:
-    """Validate a decoded JSON object and normalize defaults."""
+def parse_document(data) -> dict:
+    """Validate a decoded JSON object and return its canonical form: the
+    defaults materialized, and every list built anew, so the result shares
+    nothing with data. Reports echo it as `input`."""
     _expect(isinstance(data, dict), "document", "top level must be an object")
     known = {"comment", "vertices", "facets", "extensions", "field", "order", "options"}
     for k in data:
         _expect(k in known, "document", f"unknown field {k!r}")
+    doc: dict = {}
 
     comment = data.get("comment")
     if comment is not None:
         _expect(isinstance(comment, str), "comment", "expected a string")
+        doc["comment"] = comment
 
-    vertices = None
     if "vertices" in data:
         vertices = _str_list(data["vertices"], "vertices")
         _expect(len(set(vertices)) == len(vertices), "vertices", "names must be unique")
+        doc["vertices"] = vertices
 
     _expect("facets" in data, "document", "missing required field 'facets'")
     raw_facets = data["facets"]
     _expect(isinstance(raw_facets, list) and raw_facets, "facets", "expected a non-empty list")
-    facets = tuple(_str_list(f, f"facets[{i}]") for i, f in enumerate(raw_facets))
+    doc["facets"] = [_str_list(f, f"facets[{i}]") for i, f in enumerate(raw_facets)]
 
-    extensions: list[ExtensionInput] = []
-    for i, raw in enumerate(data.get("extensions", [])):
+    raw_extensions = data.get("extensions", [])
+    _expect(isinstance(raw_extensions, list), "extensions", "expected a list")
+    doc["extensions"] = []
+    for i, raw in enumerate(raw_extensions):
         where = f"extensions[{i}]"
         _expect(isinstance(raw, dict), where, "expected an object")
         for k in raw:
@@ -187,8 +168,10 @@ def parse_document(data) -> InputDocument:
                 _expect(k in {"target", "points"}, ewhere, f"unknown field {k!r}")
             _expect(isinstance(e.get("target"), str), f"{ewhere}.target", "expected a vertex name")
             points = _str_list(e.get("points", []), f"{ewhere}.points")
-            edges.append(EdgeInput(e["target"], points))
-        extensions.append(ExtensionInput(raw["facet"], raw["origin"], tuple(edges)))
+            edges.append({"target": e["target"], "points": points})
+        doc["extensions"].append(
+            {"facet": raw["facet"], "origin": raw["origin"], "edges": edges}
+        )
 
     field_spec = data.get("field", 32003)
     if isinstance(field_spec, bool) or not isinstance(field_spec, (int, str)):
@@ -200,9 +183,11 @@ def parse_document(data) -> InputDocument:
             field_by_name(field_spec)
         except ValueError as exc:
             raise SchemaError(f"field: {exc}") from exc
+    doc["field"] = field_spec
 
     order = data.get("order", "degrevlex")
     _expect(order in ORDERS, "order", f"expected one of {', '.join(ORDERS)}")
+    doc["order"] = order
 
     options = data.get("options", {})
     _expect(isinstance(options, dict), "options", "expected an object")
@@ -216,20 +201,11 @@ def parse_document(data) -> InputDocument:
     )
     seed = options.get("seed", 0)
     _expect(isinstance(seed, int) and not isinstance(seed, bool), "options.seed", "expected an integer")
-
-    return InputDocument(
-        facets=facets,
-        extensions=tuple(extensions),
-        vertices=vertices,
-        comment=comment,
-        field_spec=field_spec,
-        order=order,
-        rho_max=rho_max,
-        seed=seed,
-    )
+    doc["options"] = {"rho_max": rho_max, "seed": seed}
+    return doc
 
 
-def parse_input(path: str) -> InputDocument:
+def parse_input(path: str) -> dict:
     """Read and validate a JSON input document from a file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,87 +219,62 @@ def parse_input(path: str) -> InputDocument:
     return parse_document(data)
 
 
-def document_dict(doc: InputDocument) -> dict:
-    """Canonical JSON-ready form of a document, defaults materialized."""
-    out: dict = {}
-    if doc.comment is not None:
-        out["comment"] = doc.comment
-    if doc.vertices is not None:
-        out["vertices"] = list(doc.vertices)
-    out["facets"] = [list(f) for f in doc.facets]
-    out["extensions"] = [
-        {
-            "facet": e.facet,
-            "origin": e.origin,
-            "edges": [{"target": d.target, "points": list(d.points)} for d in e.edges],
-        }
-        for e in doc.extensions
-    ]
-    out["field"] = doc.field_spec
-    out["order"] = doc.order
-    out["options"] = {"rho_max": doc.rho_max, "seed": doc.seed}
-    return out
-
-
-def emit_document(doc: InputDocument) -> str:
-    """Serialize a document so parse_document(json.loads(.)) round-trips."""
-    return json.dumps(document_dict(doc), indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # model construction
 
 
 @dataclass(frozen=True)
 class Model:
-    doc: InputDocument
+    doc: dict  # as parse_document returns it
     ext: ExtensionComplex
     ring: Ring
 
 
-def build_model(doc: InputDocument) -> Model:
+def build_model(doc: dict) -> Model:
     """Resolve names, normalize the complex, and attach extensions."""
-    if doc.vertices is not None:
-        declared = set(doc.vertices)
-        for i, f in enumerate(doc.facets):
+    facets, vertices = doc["facets"], doc.get("vertices")
+    if vertices is not None:
+        declared = set(vertices)
+        for i, f in enumerate(facets):
             for n in f:
                 if n not in declared:
                     raise UnknownName(f"facets[{i}]: vertex {n!r} is not in the vertex list")
-        used = {n for f in doc.facets for n in f}
-        for n in doc.vertices:
+        used = {n for f in facets for n in f}
+        for n in vertices:
             if n not in used:
                 raise SchemaError(f"vertices: {n!r} appears in no facet")
-    base = validate_complex(doc.facets, doc.vertices)
+    base = validate_complex(facets, vertices)
     known = {v.name for v in base.vertices}
     kept_index = {f: i for i, f in enumerate(base.facets)}
 
     exts: list[FacetExtension] = []
     seen: set[int] = set()
-    for i, e in enumerate(doc.extensions):
+    for i, e in enumerate(doc["extensions"]):
         where = f"extensions[{i}]"
-        if not 0 <= e.facet < len(doc.facets):
-            raise SchemaError(f"{where}.facet: index {e.facet} out of range")
-        fs = frozenset(base.id_of(n) for n in doc.facets[e.facet])
+        facet, origin = e["facet"], e["origin"]
+        if not 0 <= facet < len(facets):
+            raise SchemaError(f"{where}.facet: index {facet} out of range")
+        fs = frozenset(base.id_of(n) for n in facets[facet])
         if fs not in kept_index:
             raise SchemaError(
-                f"{where}.facet: facet {e.facet} was dropped as contained in another facet"
+                f"{where}.facet: facet {facet} was dropped as contained in another facet"
             )
         l = kept_index[fs]
         if l in seen:
-            raise SchemaError(f"{where}.facet: facet {e.facet} already has an extension")
+            raise SchemaError(f"{where}.facet: facet {facet} already has an extension")
         seen.add(l)
-        if e.origin not in known:
-            raise UnknownName(f"{where}.origin: unknown vertex {e.origin!r}")
+        if origin not in known:
+            raise UnknownName(f"{where}.origin: unknown vertex {origin!r}")
         targets = []
-        for j, d in enumerate(e.edges):
-            if d.target not in known:
-                raise UnknownName(f"{where}.edges[{j}].target: unknown vertex {d.target!r}")
-            targets.append(base.id_of(d.target))
-        star = ProperStar(l, base.id_of(e.origin), tuple(targets))
-        exts.append(FacetExtension(star, tuple(d.points for d in e.edges)))
+        for j, d in enumerate(e["edges"]):
+            if d["target"] not in known:
+                raise UnknownName(f"{where}.edges[{j}].target: unknown vertex {d['target']!r}")
+            targets.append(base.id_of(d["target"]))
+        star = ProperStar(l, base.id_of(origin), tuple(targets))
+        exts.append(FacetExtension(star, tuple(tuple(d["points"]) for d in e["edges"])))
 
     ext = build_extension_complex(base, exts)
-    ring = ext.ring(field_by_name(doc.field_spec), doc.order)
+    ring = ext.ring(field_by_name(doc["field"]), doc["order"])
     return Model(doc, ext, ring)
 
 
@@ -487,7 +438,7 @@ def _cmd_reduce(model: Model) -> tuple[bool, dict]:
         reduction = {"theorem_applies": False, "failure": f"{type(exc).__name__}: {exc}"}
 
     b = binomial_extension_ideal(ext, ring)
-    col, method, _, rep, reason = fallback_reduction(ext, b, model.doc.rho_max)
+    col, method, _, rep, reason = fallback_reduction(ext, b, model.doc["options"]["rho_max"])
     if col is None:
         return False, {"coloration": None, "reduction": reduction}
     sections = {"coloration": _coloration_section(ext, col, method), "reduction": reduction}
@@ -551,7 +502,7 @@ def _rank_coverage(
 
 def _oracle_checks(model: Model) -> tuple[bool, dict]:
     """Recompute fast-path answers against Groebner-basis ground truth."""
-    ext, ring, rho_max = model.ext, model.ring, model.doc.rho_max
+    ext, ring, rho_max = model.ext, model.ring, model.doc["options"]["rho_max"]
     base = ext.base
     checks: list[dict] = []
 
@@ -652,17 +603,18 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
 # report assembly
 
 
-def run(command: str, doc: InputDocument, with_oracle: bool = False) -> dict:
+def run(command: str, doc: dict, with_oracle: bool = False) -> dict:
     """Execute a command and assemble its report (deterministic for a given input).
 
-    The run is one `poly.run_scope`: each Groebner basis and graded coverage
+    doc is a document as `parse_document` returns it; the report echoes it,
+    unchanged, as `input`. The run is one `poly.run_scope`: each Groebner basis and graded coverage
     is computed once, and `timing` counts that work.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     report: dict = {
         "command": command,
-        "input": document_dict(doc),
+        "input": doc,
         "verdict": None,
         "complex": None,
         "generators": None,
@@ -721,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         # overrides go into the document, so parse_document validates them
-        data = document_dict(parse_input(args.input))
+        data = parse_input(args.input)
         if args.field is not None:
             try:
                 data["field"] = int(args.field)

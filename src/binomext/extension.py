@@ -18,7 +18,7 @@ from .complexes import (
     skeleton_graph,
     stanley_reisner_generators,
 )
-from .poly import MonomialOrder, Polynomial, Ring
+from .poly import MonomialOrder, Polynomial, Ring, memoized
 
 
 class NotAProperEdge(ValueError):
@@ -42,7 +42,8 @@ class FacetExtendedTwice(ValueError):
 
 
 class EmptyExtension(ValueError):
-    """The facet carries no new points, so it has no scroll matrix."""
+    """The facet carries no new points, so it has no scroll matrix; or no
+    extension at all, so it has no origin either."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,8 @@ class ExtensionComplex:
     def origin_is_private(self, l: int) -> bool:
         """The origin lies in facet l only (interior vertex)."""
         fe = self.extensions[l]
-        assert fe is not None
+        if fe is None:
+            raise EmptyExtension(f"facet {l} has no extension, so no origin")
         o = fe.star.origin
         return not any(o in f for i, f in enumerate(self.base.facets) if i != l)
 
@@ -192,7 +194,6 @@ def scroll_matrix(ext: ExtensionComplex, l: int) -> ScrollMatrix:
     if fe is None or fe.total_points == 0:
         raise EmptyExtension(f"facet {l} has no new points")
     ids = ext.point_ids[l]
-    assert ids is not None
     blocks = [ScrollBlock((fe.star.origin, *ids[0], fe.star.targets[0]))]
     for j in range(1, len(fe.star.targets)):
         if ids[j]:
@@ -263,11 +264,16 @@ def binomial_extension_generators(
 
 def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresentation:
     """All scroll minors together with the minimal non-faces of the extended
-    complex (as square-free monomials)."""
-    minors, non_faces = binomial_extension_generators(ext, ring)
-    one = ring.field.one
-    monomials = (Polynomial(ring, {ring.product(nf): one}) for nf in non_faces)
-    return IdealPresentation(ring, (*minors, *monomials), label="B")
+    complex (as square-free monomials); built once per run scope for each
+    complex and ring."""
+
+    def build() -> IdealPresentation:
+        minors, non_faces = binomial_extension_generators(ext, ring)
+        one = ring.field.one
+        monomials = (Polynomial(ring, {ring.product(nf): one}) for nf in non_faces)
+        return IdealPresentation(ring, (*minors, *monomials), label="B")
+
+    return memoized(("binomial_extension_ideal", ext, ring), build)
 
 
 # ---------------------------------------------------------------------------

@@ -954,7 +954,8 @@ def hilbert_data(gb: list[Polynomial], ring: Ring) -> HilbertData:
         q = list(accumulate(q[:-1])) or [0]
         codim += 1
     degree = sum(q)
-    assert degree >= 1, "nonzero quotient has positive degree"
+    if degree < 1:
+        raise ValueError(f"numerator {num} gives degree {degree}, not a positive one")
     return HilbertData(
         dimension=ring.nvars - codim,
         codimension=codim,

@@ -19,7 +19,7 @@ from binomext import (
     proper_edge_stars,
     validate_complex,
 )
-from binomext.cli import InputDocument, Model, build_model, parse_input
+from binomext.cli import Model, build_model, parse_input
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

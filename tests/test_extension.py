@@ -110,6 +110,31 @@ def test_construction_errors_survive_optimized_mode() -> None:
     assert out.stdout.split() == ["FacetOutOfRange", "FacetExtendedTwice"]
 
 
+def test_origin_is_private_needs_an_extension() -> None:
+    ext = build_extension_complex(validate_complex([["a", "b", "c"]]), [])
+    with pytest.raises(EmptyExtension, match="facet 0 has no extension"):
+        ext.origin_is_private(0)
+
+
+def test_origin_is_private_needs_an_extension_under_python_O() -> None:
+    # a typed error, not an assert, so python -O raises it too
+    code = (
+        "from binomext import EmptyExtension, build_extension_complex, validate_complex\n"
+        "ext = build_extension_complex(validate_complex([['a', 'b', 'c']]), [])\n"
+        "try:\n"
+        "    ext.origin_is_private(0)\n"
+        "except EmptyExtension as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "facet 0 has no extension, so no origin\n"
+
+
 def test_facet_extension_needs_one_point_list_per_target() -> None:
     with pytest.raises(ValueError, match="1 point lists for 2 targets"):
         FacetExtension(ProperStar(0, 0, (1, 2)), (("p",),))

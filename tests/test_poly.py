@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -776,6 +780,33 @@ def test_hilbert_rejects_unit_ideal() -> None:
     r = ring("x")
     with pytest.raises(ValueError):
         hilbert_data([r.one()], r)
+
+
+def test_hilbert_rejects_a_numerator_without_positive_degree(monkeypatch) -> None:
+    # the invariant is checked by code, not by assert, so python -O keeps it
+    monkeypatch.setattr(poly, "_hilbert_numerator", lambda gens, ring, memo: (1, -2))
+    r = ring("x y")
+    with pytest.raises(ValueError, match=r"numerator \(1, -2\) gives degree -1,"):
+        hilbert_data([r.var(0)], r)
+
+
+def test_hilbert_rejects_a_numerator_without_positive_degree_under_python_O() -> None:
+    code = (
+        "from binomext import poly\n"
+        "poly._hilbert_numerator = lambda gens, ring, memo: (1, -2)\n"
+        "r = poly.Ring(('x', 'y'), poly.PrimeField(), poly.MonomialOrder())\n"
+        "try:\n"
+        "    poly.hilbert_data([r.var(0)], r)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "numerator (1, -2) gives degree -1, not a positive one\n"
 
 
 def test_zero_ideal_dimension() -> None:
