@@ -461,15 +461,17 @@ def _rank_coverage(
     the containment by exact linear algebra, independent of the basis
     GB(B + G) that `reduce` reads it from.
 
-    Monomial generators strike their multiples outright; the remaining rows
-    are reduced exactly over the field.
+    Monomial generators strike their multiples outright, found through a
+    division table of those generators; the remaining rows are reduced
+    exactly over the field.
     """
     ring = b.ring
     deg = rho + 1
     cols = ring.monomials_of_degree(deg)
-    low_monos = [g.lm() for g in b.generators if len(g.terms) == 1 and g.degree() <= deg]
+    low_monos = [g for g in b.generators if len(g.terms) == 1 and g.degree() <= deg]
     binom_gens = [g for g in b.generators if len(g.terms) > 1 and g.degree() <= deg]
-    struck = {m for m in cols if any(ring.divides(g, m) for g in low_monos)}
+    divisor = division_table(low_monos, ring).divisor
+    struck = {m for m in cols if divisor(m) is not None}
     remaining = [m for m in cols if m not in struck]
     idx = {m: i for i, m in enumerate(remaining)}
 
@@ -484,13 +486,14 @@ def _rank_coverage(
                 row[col] = c
         return row
 
-    for g in binom_gens:
-        for m in ring.monomials_of_degree(deg - g.degree()):
-            row = shifted_row(g, m)
-            if row:
-                rows.append(row)
-    for g in vectors.forms:
-        for m in ring.monomials_of_degree(rho):
+    # the forms are linear, so each generator's multipliers have degree
+    # deg less its own; each degree is listed once
+    multipliers: dict[int, list[int]] = {}
+    for g in (*binom_gens, *vectors.forms):
+        e = deg - g.degree()
+        if e not in multipliers:
+            multipliers[e] = ring.monomials_of_degree(e)
+        for m in multipliers[e]:
             row = shifted_row(g, m)
             if row:
                 rows.append(row)

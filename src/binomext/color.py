@@ -6,6 +6,7 @@ vectors g_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import (
@@ -353,6 +354,14 @@ def _dtree_attempt(ext: ExtensionComplex) -> Coloration | None:
 @dataclass(frozen=True)
 class ReductionVectors:
     forms: tuple[Polynomial, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.forms)
+
+    def __hash__(self) -> int:
+        # a run-memo key: hashed once per object, not once per lookup
+        return self._hash
 
 
 def reduction_vectors(col: Coloration, ring: Ring) -> ReductionVectors:

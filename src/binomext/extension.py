@@ -6,6 +6,7 @@ graph used by colorations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import (
@@ -233,6 +234,14 @@ class IdealPresentation:
     ring: Ring
     generators: tuple[Polynomial, ...]
     label: str = ""
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ring, self.generators, self.label))
+
+    def __hash__(self) -> int:
+        # a run-memo key: hashed once per object, not once per lookup
+        return self._hash
 
 
 def facet_minors(ext: ExtensionComplex, ring: Ring, l: int) -> list[Polynomial]:

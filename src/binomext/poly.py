@@ -482,6 +482,7 @@ counters: dict[str, int] = {}
 # Answers already computed in the current run scope, keyed by value; None
 # outside a scope, where nothing is cached.
 _memo: ContextVar[dict | None] = ContextVar("binomext_memo", default=None)
+_MISSING = object()
 
 
 def reset_counters() -> None:
@@ -513,9 +514,10 @@ def memoized(key, compute):
     memo = _memo.get()
     if memo is None:
         return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute()
+    return value
 
 
 class DivisionTable(list):
@@ -837,12 +839,21 @@ def ideal_intersection(
 
 
 def ideal_intersection_many(gen_lists: list[list[Polynomial]], ring: Ring) -> list[Polynomial]:
+    """Reduced basis of the intersection of the listed ideals.
+
+    A balanced fold: each round intersects neighbours, (a0 cap a1),
+    (a2 cap a3), ..., and carries an odd last ideal to the next round, so an
+    elimination carries about half of the ideals rather than all folded so
+    far. a0 is GB(first ideal) and every other leaf its generator list; with
+    at most three ideals that is the sequential fold.
+    """
     if not gen_lists:
         raise ValueError("need at least one ideal")
-    acc = groebner_basis(gen_lists[0], ring)
-    for gens in gen_lists[1:]:
-        acc = ideal_intersection(acc, gens, ring)
-    return acc
+    layer = [groebner_basis(gen_lists[0], ring), *gen_lists[1:]]
+    while len(layer) > 1:
+        pairs = [ideal_intersection(a, b, ring) for a, b in zip(layer[::2], layer[1::2])]
+        layer = pairs + layer[len(pairs) * 2 :]
+    return layer[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1045,33 +1056,45 @@ def rref_rows(rows: list[dict[int, object]], ncols: int, field) -> tuple[int, di
     """Reduced row echelon form of sparse rows; returns (rank, pivot -> row).
 
     Exact sparse elimination over any field object, so no characteristic can
-    overflow. Entries must be canonical elements of the field.
+    overflow. Entries must be canonical elements of the field. Each column
+    keeps the ids of the rows that hold it, so column c's pivot, the lowest
+    unreduced row holding c, and the rows to clear of c are read off, not
+    searched for.
     """
     red, zero = field.red, field.zero
-    rows = [r for r in rows if r]
-    _bump("rank_rows", len(rows))
-    work = [dict(r) for r in rows]
+    work = [dict(r) for r in rows if r]
+    _bump("rank_rows", len(work))
+    holders: dict[int, set[int]] = {}
+    for i, r in enumerate(work):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
     pivrows: dict[int, dict] = {}
+    reduced: set[int] = set()  # ids of the pivot rows
     for c in range(ncols):
-        pick = next((i for i, r in enumerate(work) if r.get(c)), None)
+        held = holders.get(c, ())
+        pick = min((i for i in held if i not in reduced), default=None)
         if pick is None:
             continue
-        row = work.pop(pick)
-        inv = field.inv(row[c])
-        row = {j: red(v * inv) for j, v in row.items()}
+        inv = field.inv(work[pick][c])
+        row = work[pick] = {j: red(v * inv) for j, v in work[pick].items()}
         # clear column c from the rows still to be reduced and from the
         # pivot rows already found, so the result is fully reduced
-        for r in (*work, *pivrows.values()):
-            f = r.get(c)
-            if f:
-                for j, v in row.items():
-                    nv = red(r.get(j, zero) - f * v)
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
+        for i in list(held):
+            if i == pick:
+                continue
+            r = work[i]
+            f = r[c]
+            for j, v in row.items():
+                nv = red(r.get(j, zero) - f * v)
+                if nv:
+                    if j not in r:
+                        holders.setdefault(j, set()).add(i)
+                    r[j] = nv
+                elif j in r:
+                    del r[j]
+                    holders[j].discard(i)
+        reduced.add(pick)
         pivrows[c] = row
-        work = [r for r in work if r]
     return len(pivrows), pivrows
 
 

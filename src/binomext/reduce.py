@@ -224,7 +224,8 @@ def _graded_coverage(
     """All degree-(rho+1) monomials, packed, and the subset that lies in
     G*m^rho + B: those whose normal form modulo GB(B + G) is zero.
 
-    Computed once per run scope for each ring, forms, generators and rho.
+    Computed once per run scope for each value of vectors, b and rho; both
+    hash once per object, so a lookup hashes no polynomial.
     """
     ring = b.ring
 
@@ -238,7 +239,7 @@ def _graded_coverage(
         )
         return cols, covered
 
-    return memoized(("coverage", ring, tuple(vectors.forms), tuple(b.generators), rho), compute)
+    return memoized(("coverage", vectors, b, rho), compute)
 
 
 def degree_containment(

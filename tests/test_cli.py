@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binomext.cli as cli_module
 import binomext.extension as extension_module
 import binomext.reduce as reduce_module
 from binomext import DuplicatePointName, OrderMismatch, Ring, binomial_extension_ideal, color
@@ -593,6 +594,38 @@ def test_oracle_merges_into_another_command() -> None:
         "containment",
         "membership",
     }
+
+
+@pytest.mark.parametrize("name", ["greduit", "cycles_full"])
+def test_the_oracle_asks_once_per_monomial_it_counts(name: str, monkeypatch) -> None:
+    # the containment detail counts the monomials cross-checked, each one
+    # membership question; on cycles_full they span rho = 1 and rho = 2
+    calls = []
+    covered = cli_module.monomial_covered
+
+    def counted(vectors, b, m):
+        calls.append(m)
+        return covered(vectors, b, m)
+
+    monkeypatch.setattr(cli_module, "monomial_covered", counted)
+    report = run("oracle", parse_input(str(FIXTURES / f"{name}.json")))
+    detail = {c["name"]: c["detail"] for c in report["oracle"]["checks"]}["containment"]
+    checked = int(detail.split()[0])
+    assert detail.startswith(f"{checked} monomials cross-checked")
+    assert checked > 0 and len(calls) == checked
+    assert report["oracle"]["diffs"] == []
+
+
+def test_a_rank_coverage_that_misses_a_monomial_is_a_containment_diff(monkeypatch) -> None:
+    rank = cli_module._rank_coverage
+
+    def dropped(vectors, b, rho):
+        cols, covered = rank(vectors, b, rho)
+        return cols, covered - {min(covered)}
+
+    monkeypatch.setattr(cli_module, "_rank_coverage", dropped)
+    report = run("oracle", parse_input(str(FIXTURES / "greduit.json")))
+    assert report["oracle"]["diffs"] == ["containment"]
 
 
 def test_rho_max_bound_is_respected() -> None:

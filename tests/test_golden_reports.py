@@ -19,7 +19,10 @@ with the one before the change and found byte-identical. The `reduce`
 digests were taken again when the certifier began to read containment and
 dimension off its two Groebner bases, which drops `rank_rows` and changes
 `normal_forms` in `timing` and nothing else; the `oracle` digests did not
-change.
+change. The `decompose` and `oracle` digests of greduit1 and cycles_full, the
+four-facet fixtures, were taken again when `ideal_intersection_many` became a
+balanced fold, which changes `s_pairs` and `normal_forms` in `timing` and
+nothing else (fewer than four components fold as before).
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ GOLDEN = {
     ("ideal", "dtree-3-32"): "aa9a3adfaefeb8bb9eca05109bdd38508577c93321253b57af1431a7aa70c6a6",
     ("color", "dtree-3-32"): "b52b3d828834a927f8f18aec8f5c96f20864620753a15219b0a64a977b6e79eb",
     ("decompose", "greduit"): "c17982800d0c7aed893cb59458da0996c705fa040cbd22ffe19606d920746ba7",
-    ("decompose", "greduit1"): "16550c5c945e2d597297cad4b302a5dfba4cc09b29d177d3c353e5671996797d",
+    ("decompose", "greduit1"): "982654dccfd69eff41fd744423d37087442574f3b13a3de47a02ad6625510516",
     ("decompose", "cycles_pair"): "2c7488f42139ab0616234cc5a397f01562cdc3436039346df96eb3154349dc81",
-    ("decompose", "cycles_full"): "8c063af9a186d6e9a2360deb562e073aee3a8a38652fa9b24be07887103b0f85",
+    ("decompose", "cycles_full"): "94d01d7aaf294b096c74780ab3facf4b2890793d3ca1f2731102885a203f282f",
     ("decompose", "strip3"): "8f97f28c8d419d71f30cc99abb1e3730dc2d61ffbbc9dc7eebd4d4f86c8d8810",
     ("hilbert", "greduit"): "bd527cad3e7efaa65b1e889c374c382d2297531c84628b9ff80b72ab943676ed",
     ("hilbert", "greduit1"): "30150f1e10488a5aff8e26596af98812f983e842bc82d209b0f047caf43b188a",
@@ -90,9 +93,9 @@ GOLDEN = {
     ("reduce", "cycles_full"): "70c936ba92b3976cf0b9e5b1cfffeaa98e6bb4ff421b7fdf93ad363f5919f8b9",
     ("reduce", "strip3"): "40e6dcb827d46dccf2e622b0db224153e447d9e062127a5ffecdfaf1fd6489f7",
     ("oracle", "greduit"): "2b7a0ce086818a4c44723b5324c8b07fc60df51ed5f95ac69ca424eed9ef1ca9",
-    ("oracle", "greduit1"): "6f8e7fbed67f778a6405b61e6c4205e509c23c067828ca2b057aa38d06e68867",
+    ("oracle", "greduit1"): "9a010864bc7b612716903e4ff9de74faebbbb938ed5694d2a04fc799843f8245",
     ("oracle", "cycles_pair"): "bb48b0c8d4881ecab627ed67436d8414f55cb0d6401032a27a1a2b45131edbf1",
-    ("oracle", "cycles_full"): "cdfbea92186b8c59d21c83b1c2024a182cf4c0431ba514aedca477d130410656",
+    ("oracle", "cycles_full"): "7a56504b96a0c66b9f3aa916729e7adee713b587ff4a7565a7158a7b47d5a6d8",
     ("oracle", "strip3"): "2b49f7d511e02287e45e1ad1b59b367af512693f5e229f049353560858c9e0f1",
 }
 

@@ -983,6 +983,89 @@ def test_rref_is_exact_for_primes_above_two_to_the_32() -> None:
     assert covered_columns(pivots) == {2}
 
 
+def _dense_rref(rows: list[dict], ncols: int, field) -> tuple[int, dict[int, dict]]:
+    """Gauss-Jordan on dense rows: column c's pivot is the first row, in
+    input order, of those not yet pivots that is nonzero at c; it moves up
+    to just below the pivots found before it."""
+    red = field.red
+    m = [[r.get(j, field.zero) for j in range(ncols)] for r in rows]
+    pivots: dict[int, int] = {}
+    for c in range(ncols):
+        top = len(pivots)
+        pick = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if pick is None:
+            continue
+        m.insert(top, m.pop(pick))
+        inv = field.inv(m[top][c])
+        m[top] = [red(v * inv) for v in m[top]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != top and f:
+                m[i] = [red(v - f * w) for v, w in zip(row, m[top])]
+        pivots[c] = top
+    return len(pivots), {c: {j: v for j, v in enumerate(m[i]) if v} for c, i in pivots.items()}
+
+
+@st.composite
+def sparse_rows(draw) -> tuple:
+    """(field, ncols, rows): a few sparse rows of canonical entries, narrow
+    enough that dependencies are common."""
+    field = draw(st.sampled_from(CANONICAL_FIELDS))
+    ncols = draw(st.integers(1, 6))
+    entries = st.dictionaries(st.integers(0, ncols - 1), coefficients, max_size=ncols)
+    rows = [
+        {j: field.of(c) for j, c in row.items() if field.of(c)}
+        for row in draw(st.lists(entries, max_size=8))
+    ]
+    return field, ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_rows())
+def test_rref_matches_dense_gauss_jordan(case) -> None:
+    field, ncols, rows = case
+    before = [dict(r) for r in rows]
+    poly.reset_counters()
+    rank, pivots = rref_rows(rows, ncols, field)
+    assert (rank, pivots) == _dense_rref([r for r in rows if r], ncols, field)
+    assert poly.counters["rank_rows"] == sum(1 for r in rows if r)
+    assert rows == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    order=st.sampled_from(["degrevlex", "deglex"]),
+    k=st.integers(1, 5),
+)
+def test_the_balanced_fold_matches_the_sequential_fold(data, order: str, k: int) -> None:
+    # homogeneous ideals only: inhomogeneous or lex eliminations can run
+    # for minutes under the normal selection strategy
+    r = ring("x y z w", PrimeField(32003), order)
+
+    def generator():
+        degree = data.draw(st.integers(1, 2))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            vs = data.draw(st.lists(st.integers(0, 3), min_size=degree, max_size=degree))
+            terms.append((tuple(vs.count(v) for v in range(4)), data.draw(st.integers(1, 5))))
+        return poly_of(r, terms)
+
+    gen_lists = [[generator() for _ in range(data.draw(st.integers(1, 2)))] for _ in range(k)]
+    with run_scope():
+        got = ideal_intersection_many(gen_lists, r)
+        work = dict(poly.counters)
+    with run_scope():
+        want = groebner_basis(gen_lists[0], r)
+        for gens in gen_lists[1:]:
+            want = ideal_intersection(want, gens, r)
+        sequential = dict(poly.counters)
+    assert got == want
+    if k <= 3:
+        # the same eliminations of the same inputs
+        assert work == sequential
+
+
 # ---------------------------------------------------------------------------
 # run scope
 

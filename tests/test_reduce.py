@@ -446,6 +446,29 @@ def test_a_run_builds_each_graded_coverage_once(greduit) -> None:
         assert counters["normal_forms"] > forms + len(monos)
 
 
+def test_equal_values_built_apart_share_one_coverage(greduit) -> None:
+    # the coverage memo is keyed on the values of the forms and of B, each
+    # hashed once per object, so copies rebuilt from fresh polynomials are
+    # the same request
+    ring = greduit.ring
+    vecs = reduction_vectors(dtree_coloration(greduit.ext), ring)
+    b = binomial_extension_ideal(greduit.ext, ring)
+
+    def rebuilt(p: Polynomial) -> Polynomial:
+        return Polynomial(ring, dict(p.terms))
+
+    b_copy = IdealPresentation(ring, tuple(map(rebuilt, b.generators)), b.label)
+    vecs_copy = ReductionVectors(tuple(map(rebuilt, vecs.forms)))
+    assert b_copy == b and b_copy is not b and hash(b_copy) == hash(b)
+    assert vecs_copy == vecs and vecs_copy is not vecs and hash(vecs_copy) == hash(vecs)
+    monos = ring.monomials_of_degree(2)
+    with run_scope():
+        covered = [monomial_covered(vecs, b, m) for m in monos]
+        work = dict(counters)
+        assert [monomial_covered(vecs_copy, b_copy, m) for m in monos] == covered
+        assert counters == work
+
+
 def test_containment_rejects_forms_that_are_not_linear(greduit) -> None:
     # (B + G) in degree rho+1 is B + G*m^rho only for linear forms
     ring = greduit.ring
