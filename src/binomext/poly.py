@@ -14,8 +14,9 @@ difference or product of elements), `zero`, `one`, `to_str` and `name`;
 arithmetic is Python's `+ - *` followed by one `red`. Only canonical
 elements are stored, and zero is the only falsy one, so a polynomial never
 holds a zero coefficient. Division multiplies by leading-coefficient
-inverses stored once per basis element, and finds each divisor through an
-index of the leading monomials by support (see `DivisionTable`). Buchberger
+inverses stored once per basis element, tests each monomial for a divisor
+once (see `normal_form`), and finds each divisor through an index of the
+leading monomials by support (see `DivisionTable`). Buchberger
 gives the monomial elements no pair loop of their own (see `buchberger`).
 Every operation is deterministic: identical inputs give identical output,
 including generator order inside computed bases.
@@ -586,33 +587,49 @@ def normal_form(
 
     A caller that divides many polynomials by one basis passes its
     `division_table(basis, f.ring)` as table, which then stands for basis.
+
+    Each monomial is tested for a divisor once: f's terms up front, a term
+    that a reduction step creates when it first appears. A term with no
+    divisor goes straight to the remainder; the others are reduced largest
+    first, each by its first divisor in table order. The remainder depends
+    only on that choice of divisor per monomial, so it is the one of the
+    loop that tests the largest term left at every step. When no term of f
+    has a divisor, f itself is returned.
     """
     _bump("normal_forms")
     ring = f.ring
     if table is None:
         table = division_table(basis, ring)
-    key, guards, divisor = ring.key, ring._guards, table.divisor
+    divisor, terms = table.divisor, f.terms
+    rows = {}  # the divisor row of each monomial met, None for none
+    h = {}  # the reducible terms
+    for m in terms:
+        if (row := divisor(m)) is not None:
+            h[m] = terms[m]
+        rows[m] = row
+    if not h:
+        return f
+    key, guards = ring.key, ring._guards
     red, zero = ring.field.red, ring.field.zero
-    rem = {}
-    h = dict(f.terms)
+    rem = {m: c for m, c in terms.items() if m not in h}
     while h:
         hm = max(h, key=key)
-        row = divisor(hm)
-        if row is None:
-            rem[hm] = h.pop(hm)
-            continue
-        _, gm, ginv, gterms = row
+        _, gm, ginv, gterms = rows[hm]
         q, c = hm - gm, red(h[hm] * ginv)
-        # h -= c * q * g; the leading terms cancel
+        # h + rem -= c * q * g; the leading terms cancel
         for m, a in gterms.items():
             p = m + q
             if p & guards:
                 ring._check_guards(p)
-            s = red(h.get(p, zero) - a * c)
+            row = rows.get(p, _MISSING)
+            if row is _MISSING:
+                row = rows[p] = divisor(p)
+            part = rem if row is None else h
+            s = red(part.get(p, zero) - a * c)
             if s:
-                h[p] = s
+                part[p] = s
             else:
-                del h[p]
+                del part[p]
     return Polynomial(ring, rem)
 
 

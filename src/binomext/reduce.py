@@ -33,12 +33,12 @@ from .extension import (
 from .poly import (
     Polynomial,
     Ring,
+    _bump,
     division_table,
     groebner_basis,
     has_standard_monomials,
     krull_dimension_lt,
     memoized,
-    normal_form,
 )
 
 
@@ -226,18 +226,45 @@ def _graded_coverage(
 
     Computed once per run scope for each value of vectors, b and rho; both
     hash once per object, so a lookup hashes no polynomial.
+
+    The normal forms make one table, filled in ascending order: a monomial
+    with no divisor is its own normal form, and m = q*lm(g) for its divisor
+    g has NF(m) = -lc(g)^-1 * sum of c_t * NF(q*t) over g's tail terms c_t*t,
+    as the remainder modulo a Groebner basis is unique and linear (Cox,
+    Little & O'Shea, Ideals, Varieties, and Algorithms, 2.6). GB(B + G) is
+    homogeneous, so each q*t is a smaller monomial of the same degree,
+    already in the table: the Macaulay-matrix sharing of F4 (Faugere, JPAA
+    1999). The table counts as one normal form per monomial.
     """
     ring = b.ring
 
     def compute() -> tuple[tuple[int, ...], frozenset[int]]:
         gb = _basis_with_forms(vectors, b)
-        table = division_table(gb, ring)
-        one = ring.field.one
+        divisor = division_table(gb, ring).divisor
+        red, zero, one = ring.field.red, ring.field.zero, ring.field.one
         cols = tuple(ring.monomials_of_degree(rho + 1))
-        covered = frozenset(
-            m for m in cols if not normal_form(Polynomial(ring, {m: one}), gb, table).terms
-        )
-        return cols, covered
+        empty: dict = {}  # every zero normal form
+        nf: dict[int, dict] = {}
+        for m in sorted(cols, key=ring.key):
+            row = divisor(m)
+            if row is None:
+                nf[m] = {m: one}
+                continue
+            _, gm, ginv, gterms = row
+            q, acc = m - gm, {}
+            for t, a in gterms.items():
+                if t == gm:
+                    continue
+                w = red(-a * ginv)
+                for u, v in nf[q + t].items():
+                    s = red(acc.get(u, zero) + w * v)
+                    if s:
+                        acc[u] = s
+                    else:
+                        del acc[u]
+            nf[m] = acc or empty
+        _bump("normal_forms", len(cols))
+        return cols, frozenset(m for m in cols if not nf[m])
 
     return memoized(("coverage", vectors, b, rho), compute)
 

@@ -22,12 +22,16 @@ dimension off its two Groebner bases, which drops `rank_rows` and changes
 change. The `decompose` and `oracle` digests of greduit1 and cycles_full, the
 four-facet fixtures, were taken again when `ideal_intersection_many` became a
 balanced fold, which changes `s_pairs` and `normal_forms` in `timing` and
-nothing else (fewer than four components fold as before).
+nothing else (fewer than four components fold as before). The ring4-bare
+digests, a B made only of monomials, were captured before `normal_form`
+tested each term for a divisor once and before the graded coverage became
+one normal-form table per degree; neither change moved a byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -48,9 +52,14 @@ VARIANTS = {
 }
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def document(instance: str, variant: str = ""):
     if instance == "strip3":
         data = strip_document(3)
+    elif instance == "ring4-bare":
+        data = json.loads((DATA / "ring4-bare.json").read_text(encoding="utf-8"))
     elif instance == "dtree-3-32":
         data = extended_dtree_document(3, 32, seed=7)
     else:
@@ -97,6 +106,10 @@ GOLDEN = {
     ("oracle", "cycles_pair"): "bb48b0c8d4881ecab627ed67436d8414f55cb0d6401032a27a1a2b45131edbf1",
     ("oracle", "cycles_full"): "7a56504b96a0c66b9f3aa916729e7adee713b587ff4a7565a7158a7b47d5a6d8",
     ("oracle", "strip3"): "2b49f7d511e02287e45e1ad1b59b367af512693f5e229f049353560858c9e0f1",
+    # a 4-ring of bare triangles: B is all monomials, the benchmark's
+    # crosscheck tail op
+    ("reduce", "ring4-bare"): "eaa7eb9c202faa6700cc2e8e0d0f269c59ac938e7521fccb2976d8eda2366dbc",
+    ("oracle", "ring4-bare"): "88c2d0fbf42857decad9cc1b36564b3c095767e7822241bef6385e3ad43c5969",
 }
 
 
@@ -276,6 +289,10 @@ GOLDEN_VARIANTS = {
         "ad7fa5b39bf21146f297e8325eb212ef7c4991dccec9c89786db3ec9dae3dcd2",
     ("oracle", "strip3", "large-prime"):
         "2fa38254451befdf1452fd7072b5faacebf3acd6efb34edf29e4af783b66f71d",
+    ("reduce", "ring4-bare", "rational"):
+        "5be44cb3336b3b57660dad031de272c68cf8b450f2e8455d95a4233b5f00e184",
+    ("oracle", "ring4-bare", "rational"):
+        "9a5062c147884cb5d5fd375a092861e8596daf2ae0a94ed1b282ff5acc6b3175",
 }
 
 
@@ -308,10 +325,24 @@ def test_the_generated_dtree_is_large_and_extended() -> None:
 def test_the_committed_large_dtree_is_the_generated_one() -> None:
     # CI compares its reports under python -O; it must stay what the
     # generator gives, so it can be rebuilt
-    path = Path(__file__).resolve().parent / "data" / "dtree-2-120.json"
+    path = DATA / "dtree-2-120.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     data.pop("comment")
     assert data == extended_dtree_document(2, 120, seed=7)
     report = run("validate", parse_document(data))
     assert report["complex"]["is_generalized_dtree"] is True
     assert len(report["complex"]["facets"]) == 120
+
+
+def test_the_committed_bare_ring_is_the_generated_one() -> None:
+    # the benchmark generates its ring4-bare from perfbench/gen.py, and CI
+    # runs `reduce` and `oracle` on this copy under python -O
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", DATA.parent.parent / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = json.loads((DATA / "ring4-bare.json").read_text(encoding="utf-8"))
+    want = gen.ring(4, bare=True)
+    del data["comment"], want["comment"]
+    assert data == want

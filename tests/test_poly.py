@@ -586,6 +586,102 @@ def test_normal_form_examples() -> None:
     assert str(normal_form(f, [g])) == "x*y"
 
 
+def reference_normal_form(f, basis):
+    """The division loop `normal_form` replaced: take the largest term left,
+    move it to the remainder when no leading monomial divides it (the first
+    divisor in listed order found by a scan), else cancel it with a multiple
+    of that divisor. One `normal_forms` per call."""
+    poly._bump("normal_forms")
+    r = f.ring
+    red, zero = r.field.red, r.field.zero
+    basis = [g for g in basis if g.terms]
+    rem = {}
+    h = dict(f.terms)
+    while h:
+        hm = max(h, key=r.key)
+        g = next((g for g in basis if r.divides(g.lm(), hm)), None)
+        if g is None:
+            rem[hm] = h.pop(hm)
+            continue
+        gm, gc = g.lt()
+        q, c = hm - gm, red(h[hm] * r.field.inv(gc))
+        for m, a in g.terms.items():
+            p = m + q
+            r._check_guards(p)
+            s = red(h.get(p, zero) - a * c)
+            if s:
+                h[p] = s
+            else:
+                del h[p]
+    return poly.Polynomial(r, rem)
+
+
+REFERENCE_RINGS = {
+    f"{order}-{field.name}": Ring(
+        ("@t", "x", "y", "z") if order == "elim" else ("x", "y", "z", "w"),
+        field,
+        MonomialOrder(order, "deglex"),
+    )
+    for field in CANONICAL_FIELDS
+    for order in ("lex", "deglex", "degrevlex", "elim")
+}
+
+
+@pytest.mark.parametrize("seed,name", enumerate(REFERENCE_RINGS))
+def test_normal_form_matches_the_reference_division(seed: int, name: str) -> None:
+    # random bases that are not Groebner bases, where the remainder depends
+    # on which divisor each term takes, with coefficients that reduce in
+    # every field
+    r = REFERENCE_RINGS[name]
+    rng = random.Random(seed)
+
+    def random_poly(max_terms: int, max_deg: int):
+        terms = []
+        for _ in range(rng.randint(1, max_terms)):
+            exps = [0] * r.nvars
+            for _ in range(rng.randint(0, max_deg)):
+                exps[rng.randrange(r.nvars)] += 1
+            c = rng.choice([1, -1, 2, 32002, 4294967310, Fraction(3, 7), Fraction(-5, 2)])
+            terms.append((exps, c))
+        return poly_of(r, terms)
+
+    kept = reduced = 0
+    for _ in range(150):
+        basis = [random_poly(3, 3) for _ in range(rng.randint(1, 4))]
+        f = random_poly(6, 4)
+        divisible = any(r.divides(g.lm(), m) for g in basis if g.terms for m in f.terms)
+        with run_scope():
+            want = reference_normal_form(f, basis)
+            assert poly.counters == {"normal_forms": 1}
+        with run_scope():
+            got = normal_form(f, basis)
+            assert poly.counters == {"normal_forms": 1}
+        assert got == want
+        assert normal_form(f, basis, poly.division_table(basis, r)) == want
+        _assert_canonical(got)
+        # with no divisible term the input itself comes back
+        assert (got is f) == (not divisible)
+        kept += not divisible
+        reduced += divisible
+    assert kept and reduced
+
+
+def test_normal_form_raises_when_a_reduction_step_crosses_a_field() -> None:
+    # y*z - z*(y - z^top) = z^(top+1); the larger irreducible x is met first
+    top = MAX_EXPONENT
+    r = ring("x y z", order="lex")
+    g = poly_of(r, [((0, 1, 0), 1), ((0, 0, top), -1)])
+    f = poly_of(r, [((1, 0, 0), 1), ((0, 1, 1), 1)])
+    # @t*y - y*(@t - y^top) = y^(top+1), in the field above the degree
+    e = Ring(("@t", "x", "y"), PrimeField(), MonomialOrder("elim", "lex"))
+    h = poly_of(e, [((1, 0, 0), 1), ((0, 0, top), -1)])
+    k = poly_of(e, [((1, 0, 1), 1), ((0, 1, 0), 3)])
+    for fn in (reference_normal_form, normal_form):
+        for f_, g_ in ((f, g), (k, h)):
+            with pytest.raises(MonomialOverflow, match="a product exceeds"):
+                fn(f_, [g_])
+
+
 def test_buchberger_known_conic() -> None:
     r = ring("a b y")
     conic = poly_of(r, [((1, 1, 0), 1), ((0, 0, 2), -1)])

@@ -4,6 +4,7 @@ reduction numbers, and the end-to-end verifier."""
 from __future__ import annotations
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from binomext import (
     ProperStar,
     FacetExtension,
     IdealPresentation,
+    MonomialOrder,
     RationalField,
     ReductionVectors,
     RewriterDiverged,
@@ -317,11 +319,71 @@ def test_containment_starts_in_degree_two(greduit) -> None:
 
 
 def test_containment_rejects_inhomogeneous_generators() -> None:
+    # the graded coverage's table of one degree holds only monomials of that
+    # degree; the check comes before any table is built, so a lookup never
+    # fails on a monomial of another degree
     ring = Ring(("x", "y"), PrimeField())
     b = IdealPresentation(ring, (ring.monomial((2, 0)).sub(ring.var(1)),))
     vecs = ReductionVectors((ring.var(0),))
     with pytest.raises(ValueError, match="not homogeneous"):
         degree_containment(vecs, b, 1)
+    with run_scope():
+        for m in (ring.product((0, 1)), ring.product((1, 1, 1))):
+            with pytest.raises(ValueError, match="not homogeneous"):
+                monomial_covered(vecs, b, m)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(32003), PrimeField(4294967311), RationalField()],
+    ids=["gf32003", "gf4294967311", "rational"],
+)
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "deglex"])
+def test_the_degree_table_matches_one_normal_form_per_monomial(order, field) -> None:
+    # random homogeneous monomials and binomials for B, and seeded linear
+    # forms, from none up to one per variable: with few forms, most
+    # monomials are standard and their normal forms long combinations
+    rng = random.Random(f"{order} {field.name}")
+    ring = Ring(("a", "b", "c", "d", "e"), field, MonomialOrder(order))
+    one = field.one
+
+    def monomial(degree: int) -> int:
+        return ring.product(sorted(rng.randrange(ring.nvars) for _ in range(degree)))
+
+    standard = covered = 0
+    for _ in range(6):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randint(2, 3)
+            terms = {monomial(d): one}
+            if rng.random() < 0.6:
+                terms[monomial(d)] = field.of(rng.choice([-1, 2, -3]))
+            gens.append(Polynomial(ring, terms))
+        forms = tuple(
+            ring.linear(sorted(rng.sample(range(ring.nvars), rng.randint(1, 3)))).add(
+                ring.var(rng.randrange(ring.nvars)).mul_term(0, rng.choice([2, -1]))
+            )
+            for _ in range(rng.randint(0, ring.nvars))
+        )
+        b = IdealPresentation(ring, tuple(gens))
+        vecs = ReductionVectors(tuple(f for f in forms if f.terms))
+        gb = buchberger(list(b.generators) + list(vecs.forms), ring)
+        for rho in (1, 2, 3):
+            monos = ring.monomials_of_degree(rho + 1)
+            want = {
+                m for m in monos if normal_form(Polynomial(ring, {m: one}), gb).is_zero()
+            }
+            with run_scope():
+                reduce_module._basis_with_forms(vecs, b)
+                forms_before = counters["normal_forms"]
+                cols, got = reduce_module._graded_coverage(vecs, b, rho)
+                # the table counts one normal form per monomial
+                assert counters["normal_forms"] == forms_before + len(monos)
+            assert cols == tuple(monos)
+            assert got == want, (rho, [str(g) for g in gb])
+            standard += len(monos) - len(want)
+            covered += len(want)
+    assert standard and covered
 
 
 def test_reduction_number_one_on_the_tetrahedron(greduit) -> None:
