@@ -191,3 +191,27 @@ def extended_dtree_document(d: int, nfacets: int, seed: int) -> dict:
         "facets": [[f"v{v}" for v in f] for f in facets],
         "extensions": extensions,
     }
+
+
+def empty_class_document() -> dict:
+    """A simplex whose d-tree coloration leaves class 3 without a vertex, so
+    there are only three reduction vectors for four classes."""
+    return {
+        "facets": [["v0", "v3", "v4", "v5"]],
+        "extensions": [
+            {
+                "facet": 0,
+                "origin": "v3",
+                "edges": [
+                    {"target": "v0", "points": ["p1"]},
+                    {"target": "v4", "points": ["p2"]},
+                    {"target": "v5", "points": []},
+                ],
+            }
+        ],
+    }
+
+
+@pytest.fixture(name="empty_class_document")
+def _empty_class_document() -> dict:
+    return empty_class_document()

@@ -38,7 +38,13 @@ from pathlib import Path
 import pytest
 
 from binomext.cli import parse_document, render_report, run
-from conftest import FIXTURES, extended_dtree_document
+from conftest import (
+    FIXTURES,
+    empty_class_document,
+    extended_dtree_document,
+    extension_document,
+    random_small_extension,
+)
 from test_golden_counters import strip_document
 
 
@@ -58,8 +64,10 @@ DATA = Path(__file__).resolve().parent / "data"
 def document(instance: str, variant: str = ""):
     if instance == "strip3":
         data = strip_document(3)
-    elif instance == "ring4-bare":
-        data = json.loads((DATA / "ring4-bare.json").read_text(encoding="utf-8"))
+    elif instance in ("ring4-bare", "no-coloration"):
+        data = json.loads((DATA / f"{instance}.json").read_text(encoding="utf-8"))
+    elif instance == "empty-class":
+        data = empty_class_document()
     elif instance == "dtree-3-32":
         data = extended_dtree_document(3, 32, seed=7)
     else:
@@ -296,8 +304,23 @@ GOLDEN_VARIANTS = {
 }
 
 
-def report_digest(command: str, instance: str, variant: str = "") -> str:
-    text = render_report(run(command, document(instance, variant)))
+# The two `reduce` outcomes in which the theorem does not apply and the
+# fallback stops too: no binomial coloration exists (the report prints a null
+# coloration), and the coloration leaves a class empty (the failure names the
+# theorem's failure, then the fallback's). Each is pinned alone and with the
+# oracle's cross-checks; the digests were captured while `cli` still composed
+# these reports from the theorem's exceptions and the fallback's tuple.
+GOLDEN_REDUCE_FALLBACKS = {
+    ("no-coloration", False): "d89b449363618fb709b2ea5b5218a9cf7e592791d1f9583fdece183fc2d61dc1",
+    ("no-coloration", True): "a197a2107b0cb690c590a0c8859c80415917d1b7f1f80a8c7a3400e01f001c01",
+    ("empty-class", False): "85f67bf2db4e7a37cea79cd806a53950517a3bd5e1dbf5185423d0e531a9ff05",
+    ("empty-class", True): "9121e56058ed4e641f2093f49aa42260f67de9e0062dc04f7bfcb1f6dde27e89",
+}
+
+def report_digest(
+    command: str, instance: str, variant: str = "", with_oracle: bool = False
+) -> str:
+    text = render_report(run(command, document(instance, variant), with_oracle=with_oracle))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -313,6 +336,12 @@ def test_report_bytes_are_pinned_under_other_orders_and_fields(
     digest = report_digest(command, instance, variant)
     assert digest == GOLDEN_VARIANTS[(command, instance, variant)]
 
+
+
+@pytest.mark.parametrize("instance,with_oracle", sorted(GOLDEN_REDUCE_FALLBACKS))
+def test_reduce_reports_without_a_certificate_are_pinned(instance: str, with_oracle: bool) -> None:
+    digest = report_digest("reduce", instance, with_oracle=with_oracle)
+    assert digest == GOLDEN_REDUCE_FALLBACKS[(instance, with_oracle)]
 
 def test_the_generated_dtree_is_large_and_extended() -> None:
     doc = extended_dtree_document(3, 32, seed=7)
@@ -346,3 +375,13 @@ def test_the_committed_bare_ring_is_the_generated_one() -> None:
     want = gen.ring(4, bare=True)
     del data["comment"], want["comment"]
     assert data == want
+
+
+def test_the_committed_no_coloration_document_is_the_generated_one() -> None:
+    # CI runs `reduce` and `oracle` on this copy under python -O
+    data = json.loads((DATA / "no-coloration.json").read_text(encoding="utf-8"))
+    del data["comment"]
+    assert data == extension_document(random_small_extension(155))
+    report = run("reduce", parse_document(data))
+    assert report["coloration"] is None
+    assert report["reduction"]["failure"] == "NoColorationFound: no binomial coloration exists"

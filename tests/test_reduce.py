@@ -688,26 +688,6 @@ def test_verifier_reports_uncovered_monomials_as_containment_failure(greduit, mo
         verify_main_theorem(greduit.ext, greduit.ring)
 
 
-@pytest.fixture
-def empty_class_document() -> dict:
-    # the d-tree coloration of this simplex leaves class 3 without a vertex,
-    # so there are only three reduction vectors for four classes
-    return {
-        "facets": [["v0", "v3", "v4", "v5"]],
-        "extensions": [
-            {
-                "facet": 0,
-                "origin": "v3",
-                "edges": [
-                    {"target": "v0", "points": ["p1"]},
-                    {"target": "v4", "points": ["p2"]},
-                    {"target": "v5", "points": []},
-                ],
-            }
-        ],
-    }
-
-
 def test_an_empty_color_class_fails_the_hypothesis(empty_class_document) -> None:
     doc = empty_class_document
     model = build_model(parse_document(doc))
