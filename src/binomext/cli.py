@@ -62,14 +62,12 @@ from .poly import (
 )
 from .reduce import (
     BothXVariables,
-    ContainmentFailed,
-    HypothesisFailed,
-    NoColorationFound,
+    Certificate,
+    certify,
     degree_containment,
     fallback_reduction,
     modB_normal_pair,
     monomial_covered,
-    verify_main_theorem,
 )
 
 COMMANDS = ("validate", "ideal", "decompose", "hilbert", "color", "reduce", "oracle")
@@ -212,10 +210,14 @@ def parse_input(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to decode") from None
     return parse_document(data)
 
 
@@ -282,7 +284,17 @@ def build_model(doc: dict) -> Model:
 # report sections
 
 
-def _coloration_section(ext: ExtensionComplex, col: Coloration, method: str) -> dict:
+def _coloration_section(ext: ExtensionComplex, col: Coloration | None, method: str) -> dict:
+    if col is None:
+        return {
+            "method": method,
+            "found": False,
+            "num_classes": None,
+            "classes": None,
+            "binomial_ok": False,
+            "good_on_g_prime": False,
+            "diagnostics": ["no coloration satisfies the binomial conditions"],
+        }
     names = ext.var_names
     ok, diagnostics = is_binomial_coloration(ext, col)
     good = is_good_coloration(g_prime_graph(ext), col)
@@ -297,8 +309,18 @@ def _coloration_section(ext: ExtensionComplex, col: Coloration, method: str) -> 
     }
 
 
-def _reduction_section(rep) -> dict:
-    return {
+def _reduction_section(cert: Certificate) -> dict:
+    section: dict = {"theorem_applies": cert.failure is None, "failure": cert.failure}
+    rep, conditions = cert.reduction, cert.facet_conditions
+    if rep is None:
+        return section
+    if conditions is not None:
+        conditions = [
+            {"facet": fc.facet, "route": fc.route, "details": list(fc.details)}
+            for fc in conditions
+        ]
+    return section | {
+        "facet_conditions": conditions,
         "vectors": [str(g) for g in rep.vectors.forms],
         "is_sop": rep.is_sop,
         "verdicts": [[rho, ok] for rho, ok in rep.verdicts],
@@ -400,53 +422,19 @@ def _cmd_hilbert(model: Model) -> tuple[bool, dict]:
 
 
 def _cmd_color(model: Model) -> tuple[bool, dict]:
-    ext = model.ext
-    col, method = find_coloration(ext)
-    if col is None:
-        return False, {
-            "coloration": {
-                "method": method,
-                "found": False,
-                "num_classes": None,
-                "classes": None,
-                "binomial_ok": False,
-                "good_on_g_prime": False,
-                "diagnostics": ["no coloration satisfies the binomial conditions"],
-            }
-        }
-    section = _coloration_section(ext, col, method)
+    col, method = find_coloration(model.ext)
+    section = _coloration_section(model.ext, col, method)
     return section["binomial_ok"] and section["good_on_g_prime"], {"coloration": section}
 
 
 def _cmd_reduce(model: Model) -> tuple[bool, dict]:
-    ext, ring = model.ext, model.ring
-    try:
-        rep = verify_main_theorem(ext, ring)
-        return True, {
-            "coloration": _coloration_section(ext, rep.coloration, rep.method),
-            "reduction": {
-                "theorem_applies": True,
-                "failure": None,
-                "facet_conditions": [
-                    {"facet": fc.facet, "route": fc.route, "details": list(fc.details)}
-                    for fc in rep.facet_conditions
-                ],
-                **_reduction_section(rep.reduction),
-            },
-        }
-    except (NoColorationFound, HypothesisFailed, ContainmentFailed) as exc:
-        reduction = {"theorem_applies": False, "failure": f"{type(exc).__name__}: {exc}"}
-
-    b = binomial_extension_ideal(ext, ring)
-    col, method, _, rep, reason = fallback_reduction(ext, b, model.doc["options"]["rho_max"])
-    if col is None:
-        return False, {"coloration": None, "reduction": reduction}
-    sections = {"coloration": _coloration_section(ext, col, method), "reduction": reduction}
-    if rep is None:
-        reduction["failure"] += f"; then {reason}"
-        return False, sections
-    reduction.update(facet_conditions=None, **_reduction_section(rep))
-    return rep.reduction_number is not None, sections
+    ext = model.ext
+    cert = certify(ext, model.ring, model.doc["options"]["rho_max"])
+    col, rep = cert.coloration, cert.reduction
+    return rep is not None and rep.reduction_number is not None, {
+        "coloration": None if col is None else _coloration_section(ext, col, cert.method),
+        "reduction": _reduction_section(cert),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +552,12 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
                     rewrite_ok = False
     record("rewriter", rewrite_ok, f"{pairs} variable pairs checked")
 
-    col, method, vectors, rep, _ = fallback_reduction(ext, b, rho_max)
-    if col is None:
+    cert = fallback_reduction(ext, ring, rho_max)
+    vectors, rep = cert.vectors, cert.reduction
+    if cert.coloration is None:
         record("containment", True, "skipped: no coloration available")
     elif vectors is None:
-        record("containment", True, f"skipped: the {method} coloration leaves a class empty")
+        record("containment", True, f"skipped: the {cert.method} coloration leaves a class empty")
     else:
         rhos = [1]  # without a reduction number only rho = 1 is cross-checked
         if rep is not None and rep.reduction_number not in (None, 1):
@@ -587,7 +576,7 @@ def _oracle_checks(model: Model) -> tuple[bool, dict]:
         record(
             "containment",
             cont_ok,
-            f"{checked} monomials cross-checked via {method} coloration",
+            f"{checked} monomials cross-checked via {cert.method} coloration",
         )
 
     member_ok = True

@@ -101,13 +101,6 @@ def is_good_coloration(g: Graph, col: Coloration) -> bool:
 # binomial-coloration conditions
 
 
-def colored_facet_members(ext: ExtensionComplex, l: int) -> frozenset[int]:
-    """Reduced-graph vertices of the extended facet: its base vertices plus
-    first points of edges 2..k."""
-    roles = facet_roles(ext, l)
-    return ext.base.facets[l] if roles is None else roles.members
-
-
 def is_binomial_coloration(
     ext: ExtensionComplex, col: Coloration
 ) -> tuple[bool, list[str]]:
@@ -127,16 +120,15 @@ def is_binomial_coloration(
     a, classes = col.assignment, col.classes
     for l in range(len(ext.base.facets)):
         roles = facet_roles(ext, l)
-        members = colored_facet_members(ext, l)
+        members = roles.members
         # member -> (what its class must meet the facet in, its role)
         want = {v: (frozenset({v}), "vertex") for v in members}
-        if roles is not None:
-            for i, (u, t) in enumerate(roles.pairs):
-                pair = frozenset({u, t})
-                want[u] = (pair, "chain point" if i else "origin")
-                want[t] = (pair, "vertex")
-            if roles.last is not None:
-                want[roles.last] = (frozenset({roles.last}), "last point")
+        for i, (u, t) in enumerate(roles.pairs):
+            pair = frozenset({u, t})
+            want[u] = (pair, "chain point" if i else "origin")
+            want[t] = (pair, "vertex")
+        if roles.last is not None:
+            want[roles.last] = (frozenset({roles.last}), "last point")
         for v in sorted(members):
             must, role = want[v]
             got = classes[a[v]] & members
@@ -198,10 +190,9 @@ def search_binomial_coloration(
     facet_pairs: list[frozenset[frozenset[int]]] = []
     for l in range(len(ext.base.facets)):
         roles = facet_roles(ext, l)
-        pairs = roles.pairs if roles is not None else ()
-        facet_members.append(colored_facet_members(ext, l))
-        facet_pairs.append(frozenset(frozenset(p) for p in pairs))
-        for u, v in pairs:
+        facet_members.append(roles.members)
+        facet_pairs.append(frozenset(frozenset(p) for p in roles.pairs))
+        for u, v in roles.pairs:
             parent[find(u)] = find(v)
 
     groups: dict[int, list[int]] = {}
@@ -290,8 +281,7 @@ def dtree_coloration(ext: ExtensionComplex) -> Coloration:
 
     for l in order:
         roles = facet_roles(ext, l)
-        members = colored_facet_members(ext, l)
-        pairs = roles.pairs if roles is not None else ()
+        members, pairs = roles.members, roles.pairs
         if pairs:
             x0, x2 = pairs[0]
             if x0 in colors and x2 in colors:
@@ -312,9 +302,8 @@ def dtree_coloration(ext: ExtensionComplex) -> Coloration:
         for y, nxt in pairs[1:]:
             if y not in colors:
                 colors[y] = colors[nxt]
-        last = roles.last if roles is not None else None
-        if last is not None and last not in colors:
-            colors[last] = lowest_free(members)
+        if roles.last is not None and roles.last not in colors:
+            colors[roles.last] = lowest_free(members)
 
     col = Coloration.from_map(d1, colors)
     ok, bad = is_binomial_coloration(ext, col)

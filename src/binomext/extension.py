@@ -294,7 +294,7 @@ class FacetRoles:
     """Who plays which part in the star of one extended facet; the reduced
     graph and the binomial-coloration conditions read only these."""
 
-    origin: int
+    origin: int | None  # None when the facet carries no point
     targets: tuple[int, ...]
     firsts: tuple[int | None, ...]  # y_2..y_k; None for an edge without points
     members: frozenset[int]  # the facet's base vertices plus every y_j
@@ -314,10 +314,11 @@ class FacetRoles:
         return self.firsts[-1] if self.firsts else None
 
 
-def facet_roles(ext: ExtensionComplex, l: int) -> FacetRoles | None:
-    """The star roles of facet l, or None when it carries no point."""
+def facet_roles(ext: ExtensionComplex, l: int) -> FacetRoles:
+    """The star roles of facet l; a facet without points has no origin, no
+    target and no first point, and its members are its base vertices."""
     if ext.is_trivial(l):
-        return None
+        return FacetRoles(None, (), (), ext.base.facets[l])
     fe, ids = ext.extensions[l], ext.point_ids[l]
     firsts = tuple(edge[0] if edge else None for edge in ids[1:])
     members = ext.base.facets[l].union(y for y in firsts if y is not None)
@@ -329,7 +330,7 @@ def facet_roles(ext: ExtensionComplex, l: int) -> FacetRoles | None:
 
 
 def reduced_graph(ext: ExtensionComplex) -> Graph:
-    """Base skeleton with, per facet with roles and targets t_1..t_k: edges
+    """Base skeleton with, per facet with targets t_1..t_k: edges
     (origin, t_j) dropped for j >= 2, and the first point of each such edge
     joined to the origin and to t_2."""
     base_edges = set(skeleton_graph(ext.base).edges)
@@ -338,8 +339,6 @@ def reduced_graph(ext: ExtensionComplex) -> Graph:
     dropped: set[tuple[int, int]] = set()
     for l in range(len(ext.base.facets)):
         roles = facet_roles(ext, l)
-        if roles is None:
-            continue
         o = roles.origin
         for t, y in zip(roles.targets[1:], roles.firsts):
             dropped.add((min(o, t), max(o, t)))

@@ -1,7 +1,8 @@
 """Reduction-number machinery: the two-variable monomial rewriter along
 scroll minors, system-of-parameters checking, degree-bounded containment
-of m^(rho+1) in G*m^rho + B, and the end-to-end verifier combining
-coloration, hypotheses, and containment.
+of m^(rho+1) in G*m^rho + B, the end-to-end verifier combining
+coloration, hypotheses, and containment, and `certify`, which returns the
+verifier's certificate or, when the theorem does not apply, the fallback's.
 
 Both questions are read off the two Groebner bases `verify_sop` computes,
 GB(B) and GB(B + G): the dimension from their leading monomials, the
@@ -10,7 +11,7 @@ and single-monomial memberships from normal forms modulo that basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .color import (
     Coloration,
@@ -58,12 +59,6 @@ class NotSOP(ValueError):
     """The forms are not a system of parameters modulo the ideal."""
 
 
-# The ways the reduction-vector certificate can fail to apply to a coloration:
-# a class with no vertex gives no form, and the forms must be a system of
-# parameters, one per dimension of the quotient.
-REDUCTION_FAILURES = (EmptyClass, WrongCount, NotSOP)
-
-
 class RewriterDiverged(RuntimeError):
     """The rewriter took more slides than the matrix has positions squared."""
 
@@ -82,6 +77,16 @@ class HypothesisFailed(RuntimeError):
 
 class ContainmentFailed(RuntimeError):
     """Degree-2 containment fails; arguments carry uncovered monomials."""
+
+
+# The ways the main theorem can fail to apply: no binomial coloration, a
+# violated hypothesis, or an uncovered degree-2 monomial.
+THEOREM_FAILURES = (NoColorationFound, HypothesisFailed, ContainmentFailed)
+
+# The ways the reduction-vector certificate can fail to apply to a coloration:
+# a class with no vertex gives no form, and the forms must be a system of
+# parameters, one per dimension of the quotient.
+REDUCTION_FAILURES = (EmptyClass, WrongCount, NotSOP)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +369,18 @@ class FacetCondition:
 
 
 @dataclass(frozen=True)
-class MainTheoremReport:
+class Certificate:
+    """A reduction-number certificate: the coloration, its reduction vectors
+    and the containment search. The main theorem's carries its per-facet
+    conditions; the fallback's carries none, and names in failure why the
+    theorem did not apply. A part the fallback could not reach is None."""
+
     method: str  # find_coloration's: "dtree" or "search"
-    coloration: Coloration
-    vectors: ReductionVectors
-    facet_conditions: tuple[FacetCondition, ...]
-    reduction: ReductionReport
+    coloration: Coloration | None
+    vectors: ReductionVectors | None
+    reduction: ReductionReport | None
+    facet_conditions: tuple[FacetCondition, ...] | None = None
+    failure: str | None = None
 
 
 def _facet_condition(
@@ -382,9 +393,9 @@ def _facet_condition(
     """Per-facet hypothesis: facets without a matrix or with one edge pass;
     otherwise the origin is private, or every product origin*first-point of
     a later edge must already lie in the degree-2 span."""
-    roles = facet_roles(ext, l)
-    if roles is None:
+    if ext.is_trivial(l):
         return FacetCondition(l, "trivial")
+    roles = facet_roles(ext, l)
     if len(roles.targets) < 2:
         return FacetCondition(l, "single-edge")
     if ext.origin_is_private(l):
@@ -407,7 +418,7 @@ def _facet_condition(
     return FacetCondition(l, "degree-2-span", tuple(details))
 
 
-def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
+def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> Certificate:
     """Full pipeline: coloration, reduction vectors, goodness on G', per-facet
     hypotheses, then SOP and the degree-2 containment, which together give
     reduction number 1."""
@@ -433,33 +444,39 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> MainTheoremReport:
     if report.reduction_number != 1:
         missing = report.witnesses[0][1]
         raise ContainmentFailed("uncovered degree-2 monomials: " + ", ".join(missing))
-    return MainTheoremReport(
-        method=method,
-        coloration=col,
-        vectors=vectors,
-        facet_conditions=conditions,
-        reduction=report,
-    )
+    return Certificate(method, col, vectors, report, facet_conditions=conditions)
 
 
-def fallback_reduction(ext: ExtensionComplex, b: IdealPresentation, rho_max: int = 10) -> tuple[
-    Coloration | None, str, ReductionVectors | None, ReductionReport | None, str | None
-]:
+def fallback_reduction(ext: ExtensionComplex, ring: Ring, rho_max: int = 10) -> Certificate:
     """The certificate when the main theorem does not apply: the smallest
     rho <= rho_max with the degree containment, for the reduction vectors of
-    the first binomial coloration, good or not, and b, the caller's B.
+    the first binomial coloration, good or not.
 
-    Returns (coloration, method, vectors, report, reason). The coloration is
-    None when none exists. When one of REDUCTION_FAILURES stops the
-    certificate, the report is None and the reason names the failure; the
-    vectors are None too when a class is empty.
+    The coloration is None when none exists. When one of REDUCTION_FAILURES
+    stops the certificate, its reduction is None and its failure names the
+    cause; its vectors are None too when a class is empty.
     """
     col, method = find_coloration(ext, require_good=False)
     if col is None:
-        return None, method, None, None, None
+        return Certificate(method, None, None, None)
     vectors = None
     try:
-        vectors = reduction_vectors(col, b.ring)
-        return col, method, vectors, reduction_number(vectors, b, rho_max), None
+        vectors = reduction_vectors(col, ring)
+        b = binomial_extension_ideal(ext, ring)
+        return Certificate(method, col, vectors, reduction_number(vectors, b, rho_max))
     except REDUCTION_FAILURES as exc:
-        return col, method, vectors, None, f"{type(exc).__name__}: {exc}"
+        return Certificate(method, col, vectors, None, failure=f"{type(exc).__name__}: {exc}")
+
+
+def certify(ext: ExtensionComplex, ring: Ring, rho_max: int = 10) -> Certificate:
+    """The main theorem's certificate where it applies. Otherwise the
+    fallback's, whose failure names why the theorem did not apply, then,
+    after "; then ", why the fallback stopped too, if it did."""
+    try:
+        return verify_main_theorem(ext, ring)
+    except THEOREM_FAILURES as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+    cert = fallback_reduction(ext, ring, rho_max)
+    if cert.failure is not None:
+        failure += f"; then {cert.failure}"
+    return replace(cert, failure=failure)

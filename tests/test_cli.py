@@ -673,6 +673,24 @@ def test_main_exit_two_on_input_errors(tmp_path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_exit_two_on_a_file_that_is_not_utf8(tmp_path, capsys) -> None:
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"facets": [["\u00e9"]]}'.encode("latin-1"))
+    assert main(["validate", "--input", str(bad)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: not UTF-8 at byte 14: invalid continuation byte\n"
+
+
+def test_main_exit_two_on_deeply_nested_json(tmp_path, capsys) -> None:
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    assert main(["validate", "--input", str(bad)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: JSON nested too deeply to decode\n"
+
+
 def test_main_exit_two_on_an_unwritable_out(tmp_path, capsys) -> None:
     # a report that cannot be written is an input error, not a failed verdict
     out = tmp_path / "missing" / "report.json"

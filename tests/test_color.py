@@ -17,7 +17,6 @@ from binomext import (
     RationalField,
     UncoloredVertex,
     coloration_valid,
-    colored_facet_members,
     dtree_coloration,
     facet_roles,
     find_coloration,
@@ -203,12 +202,12 @@ def test_too_many_classes_is_diagnosed(greduit) -> None:
 
 def test_colored_facet_members(greduit, cycles_pair) -> None:
     names = greduit.ext.var_names
-    got = {names[v] for v in colored_facet_members(greduit.ext, 0)}
+    got = {names[v] for v in facet_roles(greduit.ext, 0).members}
     assert got == {"a", "b", "c", "d", "y", "z"}
     names2 = cycles_pair.ext.var_names
-    got0 = {names2[v] for v in colored_facet_members(cycles_pair.ext, 0)}
+    got0 = {names2[v] for v in facet_roles(cycles_pair.ext, 0).members}
     assert got0 == {"a", "b", "c", "y"}
-    got1 = {names2[v] for v in colored_facet_members(cycles_pair.ext, 1)}
+    got1 = {names2[v] for v in facet_roles(cycles_pair.ext, 1).members}
     assert got1 == {"b", "c", "d", "v"}
 
 
@@ -300,11 +299,9 @@ def test_roles_and_verdict_match_the_per_reader_derivations(make, seed, rng) -> 
         roles = facet_roles(ext, l)
         origin_pair, chain = _oracle_facet_pairs(ext, l)
         expected_pairs = ([origin_pair] if origin_pair else []) + chain
-        assert list(roles.pairs if roles else ()) == expected_pairs, l
-        assert (roles.last if roles else None) == _oracle_last_point(ext, l), l
-        assert colored_facet_members(ext, l) == _oracle_members(ext, l), l
-        if roles is not None:
-            assert roles.members == _oracle_members(ext, l), l
+        assert list(roles.pairs) == expected_pairs, l
+        assert roles.last == _oracle_last_point(ext, l), l
+        assert roles.members == _oracle_members(ext, l), l
 
     d1 = ext.base.dim + 1
     verts = sorted(reduced_graph(ext).vertex_ids)

@@ -15,6 +15,7 @@ from binomext import (
     FacetExtendedTwice,
     FacetExtension,
     FacetOutOfRange,
+    FacetRoles,
     NotAProperEdge,
     OriginMismatch,
     ProperStar,
@@ -406,7 +407,7 @@ def test_roles_of_bare_edges_single_edges_and_pointless_facets() -> None:
     single = facet_roles(ext, 1)
     assert (single.firsts, single.pairs, single.last) == ((), (), None)
     assert single.members == base.facets[1]
-    assert facet_roles(ext, 2) is None
+    assert facet_roles(ext, 2) == FacetRoles(None, (), (), base.facets[2])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from binomext import (
     binomial_extension_ideal,
     buchberger,
     build_extension_complex,
+    certify,
     degree_containment,
     dtree_coloration,
     facet_minors,
@@ -60,9 +62,11 @@ from binomext.cli import _rank_coverage as rank_coverage
 from binomext.cli import build_model, parse_document, run
 from binomext.color import EmptyClass, find_coloration
 from binomext.poly import counters
-from binomext.reduce import ReductionReport, fallback_reduction
+from binomext.reduce import THEOREM_FAILURES, ReductionReport, fallback_reduction
 from conftest import (
+    ALL_FIXTURE_NAMES,
     FIXTURES,
+    load_model,
     extension_document,
     random_dtree_extension,
     random_scroll_extension,
@@ -429,7 +433,6 @@ def test_reduction_bound_can_be_exhausted(cycles_full) -> None:
 def test_reduction_number_rejects_a_bound_below_one(greduit, cycles_full) -> None:
     b = binomial_extension_ideal(greduit.ext, greduit.ring)
     vecs = reduction_vectors(dtree_coloration(greduit.ext), greduit.ring)
-    b_full = binomial_extension_ideal(cycles_full.ext, cycles_full.ring)
     for rho_max in (0, -3):
         message = f"^rho_max must be at least 1, got {rho_max}$"
         with run_scope():
@@ -439,7 +442,7 @@ def test_reduction_number_rejects_a_bound_below_one(greduit, cycles_full) -> Non
             assert not counters
         # the fallback passes its bound through
         with pytest.raises(ValueError, match=message):
-            fallback_reduction(cycles_full.ext, b_full, rho_max)
+            fallback_reduction(cycles_full.ext, cycles_full.ring, rho_max)
     # the same under python -O, which strips asserts
     code = (
         "from binomext import binomial_extension_ideal, dtree_coloration\n"
@@ -465,24 +468,24 @@ def test_reduction_number_rejects_a_bound_below_one(greduit, cycles_full) -> Non
 def test_the_fallback_finds_two_on_the_four_cycle_complex(cycles_full) -> None:
     ext, ring = cycles_full.ext, cycles_full.ring
     b = binomial_extension_ideal(ext, ring)
-    col, method, vecs, report, reason = fallback_reduction(ext, b)
+    cert = fallback_reduction(ext, ring)
+    col, vecs, report = cert.coloration, cert.vectors, cert.reduction
     # no coloration is good, so the search's first binomial coloration serves
-    assert (col, method) == find_coloration(ext, require_good=False)
-    assert method == "search"
+    assert (col, cert.method) == find_coloration(ext, require_good=False)
+    assert cert.method == "search"
     assert vecs == reduction_vectors(col, ring)
     assert report == reduction_number(vecs, b)
     assert report.reduction_number == 2
     assert report.verdicts == ((1, False), (2, True))
-    assert reason is None
+    assert cert.facet_conditions is None and cert.failure is None
 
 
 def test_the_fallback_names_an_empty_class(empty_class_document) -> None:
     model = build_model(parse_document(empty_class_document))
-    b = binomial_extension_ideal(model.ext, model.ring)
-    col, method, vecs, report, reason = fallback_reduction(model.ext, b)
-    assert method == "dtree" and col.num_classes == 4
-    assert vecs is None and report is None
-    assert reason == "EmptyClass: class 3 is empty"
+    cert = fallback_reduction(model.ext, model.ring)
+    assert cert.method == "dtree" and cert.coloration.num_classes == 4
+    assert cert.vectors is None and cert.reduction is None
+    assert cert.failure == "EmptyClass: class 3 is empty"
 
 
 def test_a_run_builds_each_graded_coverage_once(greduit) -> None:
@@ -735,3 +738,61 @@ def test_verifier_on_an_unextended_complex(cycles_pair) -> None:
     assert report.method == "dtree"
     assert report.reduction.reduction_number == 1
     assert [c.route for c in report.facet_conditions] == ["trivial", "trivial"]
+
+
+# ---------------------------------------------------------------------------
+# certify: the theorem's certificate, else the fallback's with the reasons
+
+
+def certify_against_its_parts(ext, ring, rho_max: int = 10) -> str:
+    """Check certify against verify_main_theorem and fallback_reduction
+    called directly, and name the outcome."""
+    cert = certify(ext, ring, rho_max)
+    try:
+        theorem = verify_main_theorem(ext, ring)
+    except THEOREM_FAILURES as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+    else:
+        assert cert == theorem
+        assert cert.failure is None and cert.facet_conditions is not None
+        return "theorem"
+    fallback = fallback_reduction(ext, ring, rho_max)
+    assert fallback.facet_conditions is None
+    if fallback.failure is not None:
+        failure += f"; then {fallback.failure}"
+    assert cert == replace(fallback, failure=failure)
+    if cert.coloration is None:
+        return "no coloration"
+    return "fallback" if cert.reduction is not None else "fallback stopped"
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURE_NAMES)
+def test_certify_is_the_theorem_or_the_fallback_on_the_fixtures(name: str) -> None:
+    model = load_model(name)
+    outcome = certify_against_its_parts(model.ext, model.ring)
+    assert outcome == ("fallback" if name == "cycles_full" else "theorem")
+
+
+def test_certify_is_the_theorem_or_the_fallback_on_random_extensions() -> None:
+    outcomes = set()
+    for seed in range(160):
+        ext = random_small_extension(seed)
+        outcomes.add(certify_against_its_parts(ext, ext.ring(PrimeField(32003))))
+    # seed 155 has no binomial coloration, and some seeds stop the fallback
+    assert outcomes == {"theorem", "fallback", "fallback stopped", "no coloration"}
+
+
+def test_certify_composes_the_failure(cycles_full, empty_class_document) -> None:
+    cert = certify(cycles_full.ext, cycles_full.ring)
+    assert cert.failure == "NoColorationFound: no binomial coloration exists"
+    assert cert.reduction.reduction_number == 2
+    model = build_model(parse_document(empty_class_document))
+    cert = certify(model.ext, model.ring)
+    assert cert.failure == (
+        "HypothesisFailed: reduction vectors: class 3 is empty; then EmptyClass: class 3 is empty"
+    )
+    assert cert.vectors is None and cert.reduction is None
+    ext = random_small_extension(155)
+    cert = certify(ext, ext.ring(PrimeField(32003)))
+    assert (cert.coloration, cert.vectors, cert.reduction) == (None, None, None)
+    assert cert.failure == "NoColorationFound: no binomial coloration exists"
