@@ -372,8 +372,9 @@ class FacetCondition:
 class Certificate:
     """A reduction-number certificate: the coloration, its reduction vectors
     and the containment search. The main theorem's carries its per-facet
-    conditions; the fallback's carries none, and names in failure why the
-    theorem did not apply. A part the fallback could not reach is None."""
+    conditions and no failure; the fallback's carries no conditions, and a
+    part it could not reach is None. `certify`'s failure names why the
+    theorem did not apply, then why the fallback stopped, if it did."""
 
     method: str  # find_coloration's: "dtree" or "search"
     coloration: Coloration | None
