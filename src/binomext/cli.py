@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import json.encoder
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import poly
@@ -363,9 +365,15 @@ def _cmd_validate(model: Model) -> tuple[bool, dict]:
 
 def _cmd_ideal(model: Model) -> tuple[bool, dict]:
     # the strings binomial_extension_ideal's generators print, without
-    # packing a monomial per non-face
+    # packing a monomial per non-face; the non-faces come in order of size,
+    # and a pair, nearly all of B at scale, is named by one concatenation
     minors, non_faces = binomial_extension_generators(model.ext, model.ring)
-    polynomials = [str(p) for p in minors] + list(map(model.ring.join_names, non_faces))
+    names = model.ring.names
+    prefix = [n + "*" for n in names]
+    k = bisect_right(non_faces, 2, key=len)
+    polynomials = [str(p) for p in minors]
+    polynomials += [prefix[u] + names[v] for u, v in non_faces[:k]]
+    polynomials += map(model.ring.join_names, non_faces[k:])
     return True, {
         "generators": {"label": "B", "count": len(polynomials), "polynomials": polynomials}
     }
@@ -639,8 +647,65 @@ def run(command: str, doc: dict, with_oracle: bool = False) -> dict:
     return report
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(report, indent=2, sort_keys=True) + "\n".
+
+    With an indent, json.dumps runs its pure-Python encoder; this walks the
+    report once, appending pieces from the C string encoder to one chunk
+    list, and joins it once.
+    """
+    out: list[str] = []
+    _render(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    # the type tests in json's own order: a bool is an int, a str may be a
+    # subclass
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        try:
+            # a list of strings, such as B's generators, is one join
+            out.append(("," + inner).join(map(_encode_str, value)))
+        except TypeError:
+            for i, item in enumerate(value):
+                if i:
+                    out.append("," + inner)
+                _render(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out += (sep, _encode_str(key), ": ")
+            sep = "," + inner
+            _render(item, inner, out)
+        out.append(newline + "}")
+    else:
+        # floats, and the TypeError json raises for anything else
+        out.append(_encode_scalar(value))
 
 
 # ---------------------------------------------------------------------------

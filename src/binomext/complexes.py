@@ -54,6 +54,15 @@ class SimplicialComplex:
         s = frozenset(vids)
         return any(s <= f for f in self.facets)
 
+    @cached_property
+    def holders(self) -> tuple[frozenset[int], ...]:
+        """Per vertex id, the indices of the facets that hold it."""
+        out: list[set[int]] = [set() for _ in self.vertices]
+        for i, f in enumerate(self.facets):
+            for v in f:
+                out[v].add(i)
+        return tuple(map(frozenset, out))
+
 
 def validate_complex(raw_facets, vertex_order=None) -> SimplicialComplex:
     """Normalize raw facet name lists: dense ids in first-appearance order
@@ -78,12 +87,18 @@ def validate_complex(raw_facets, vertex_order=None) -> SimplicialComplex:
         for n in names:
             ids.setdefault(n, len(ids))
         sets.append(frozenset(ids[n] for n in names))
-    kept: list[frozenset[int]] = []
+    # only a facet holding f's rarest vertex can strictly contain f
+    holders: dict[int, list[frozenset[int]]] = {}
     for f in sets:
-        if any(f < g for g in sets):
-            continue
-        if f not in kept:
-            kept.append(f)
+        for v in f:
+            holders.setdefault(v, []).append(f)
+
+    def maximal(f: frozenset[int]) -> bool:
+        rarest = min(f, key=lambda v: len(holders[v]))
+        return not any(f < g for g in holders[rarest])
+
+    # a dict keeps each maximal facet once, at its first occurrence
+    kept = dict.fromkeys(filter(maximal, sets))
     vertices = tuple(Vertex(i, n) for n, i in sorted(ids.items(), key=lambda kv: kv[1]))
     return SimplicialComplex(vertices, tuple(kept))
 
@@ -303,7 +318,8 @@ def is_generalized_d_tree(g: Graph, d: int) -> DTreeVerdict:
 
 
 def stanley_reisner_generators(sc: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Minimal non-faces, each as a sorted vertex-id tuple.
+    """Minimal non-faces, each as a sorted vertex-id tuple, in order of size
+    (the pairs first), then lexicographically.
 
     A minimal non-face has size at most dim+2 (its proper subsets are faces,
     and faces have at most dim+1 vertices). Any minimal non-face of size >= 3
@@ -352,10 +368,9 @@ class ProperStar:
 
 def is_proper_edge(sc: SimplicialComplex, l: int, u: int, v: int) -> bool:
     """The edge lies in facet l and in no other facet."""
-    e = {u, v}
-    if not e <= sc.facets[l]:
-        return False
-    return not any(e <= f for i, f in enumerate(sc.facets) if i != l)
+    f = sc.facets[l]
+    # facet l holds both ends; the edge is proper when no other facet does
+    return u in f and v in f and len(sc.holders[u] & sc.holders[v]) == 1
 
 
 def proper_edge_stars(sc: SimplicialComplex) -> list[list[ProperStar]]:

@@ -269,6 +269,40 @@ def test_reports_are_byte_identical_across_runs() -> None:
         assert first == second, command
 
 
+# JSON text: str keys and values with non-ASCII, control and lone surrogate
+# characters; ints beyond 64 bits, bools, None and floats; empty and nested
+# containers, tuples, and lists of strings that end in another value, which
+# the renderer cannot print as one join
+_json_text = st.text(st.characters(exclude_categories=()))
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats() | _json_text
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(_json_text)
+    | st.tuples(st.lists(_json_text, min_size=1), inner).map(lambda t: [*t[0], t[1]])
+    | st.dictionaries(_json_text, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_json_values | st.dictionaries(_json_text, _json_values))
+def test_render_report_prints_the_bytes_of_json_dumps(value) -> None:
+    assert render_report(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_render_report_rejects_what_json_dumps_rejects() -> None:
+    for bad in ({"a": {1, 2}}, {"a": [object()]}, {"a": b"bytes"}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            render_report(bad)
+
+
 def test_validate_report_content() -> None:
     doc = parse_input(str(FIXTURES / "greduit.json"))
     section = run("validate", doc)["complex"]

@@ -500,3 +500,27 @@ def test_every_edge_of_a_lone_simplex_is_proper() -> None:
     stars = proper_edge_stars(sc)
     assert len(stars[0]) == 3
     assert all(len(s.targets) == 2 for s in stars[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=st.lists(
+        st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_proper_edges_read_off_the_vertex_index_match_a_scan_of_every_facet(
+    raw: list[list[str]],
+) -> None:
+    sc = validate_complex(raw)
+    assert sc.holders == tuple(
+        frozenset(i for i, f in enumerate(sc.facets) if v in f) for v in range(len(sc.vertices))
+    )
+    n = len(sc.vertices)
+    for l, f in enumerate(sc.facets):
+        for u in range(n):
+            for v in range(n):
+                e = {u, v}
+                want = e <= f and not any(e <= g for i, g in enumerate(sc.facets) if i != l)
+                assert is_proper_edge(sc, l, u, v) == want

@@ -25,7 +25,12 @@ balanced fold, which changes `s_pairs` and `normal_forms` in `timing` and
 nothing else (fewer than four components fold as before). The ring4-bare
 digests, a B made only of monomials, were captured before `normal_form`
 tested each term for a divisor once and before the graded coverage became
-one normal-form table per degree; neither change moved a byte.
+one normal-form table per degree; neither change moved a byte. The
+`validate`, `ideal` and `color` digests of dtree-2-120, a 120-facet d-tree,
+and of no-coloration, whose B holds two cubic non-faces, were captured while
+reports were still printed by `json.dumps` and every non-face was named by
+`Ring.join_names`, before the chunk renderer and the pair naming replaced
+them.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ DATA = Path(__file__).resolve().parent / "data"
 def document(instance: str, variant: str = ""):
     if instance == "strip3":
         data = strip_document(3)
-    elif instance in ("ring4-bare", "no-coloration"):
+    elif instance in ("ring4-bare", "no-coloration", "dtree-2-120"):
         data = json.loads((DATA / f"{instance}.json").read_text(encoding="utf-8"))
     elif instance == "empty-class":
         data = empty_class_document()
@@ -118,6 +123,15 @@ GOLDEN = {
     # crosscheck tail op
     ("reduce", "ring4-bare"): "eaa7eb9c202faa6700cc2e8e0d0f269c59ac938e7521fccb2976d8eda2366dbc",
     ("oracle", "ring4-bare"): "88c2d0fbf42857decad9cc1b36564b3c095767e7822241bef6385e3ad43c5969",
+    # 120 facets, like the benchmark's combinatorics tail: B's 15,855
+    # non-faces are all pairs
+    ("validate", "dtree-2-120"): "ecca59fcc6db200d54358c579dc61f6774080648fa3ce8727b1979746de9f46c",
+    ("ideal", "dtree-2-120"): "f4d9296d2a836ca26f51563b54d77afe5231ba795c6bd154f359b15e64105b10",
+    ("color", "dtree-2-120"): "dbffd7a81ba3b780e9634210991ba957157f00fe3b503c30b4c0bb39eb0a3aa3",
+    # B ends in two cubic non-faces, named by Ring.join_names
+    ("validate", "no-coloration"): "7580a8698c96e8efde3734f08bc2167058855b8d2e1986014805c3cd68ea964c",
+    ("ideal", "no-coloration"): "60b61a7772870c8d58cefb4aa33fbb5247657ac3ca0c8718ec4baeae871671c4",
+    ("color", "no-coloration"): "fdf164d09c044fe98e58d037878d5c29922a4904e25bafddd79804baa23047c6",
 }
 
 
