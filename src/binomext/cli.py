@@ -12,7 +12,7 @@ import json.encoder
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import poly
 from .color import (
@@ -227,8 +227,7 @@ def parse_input(path: str) -> dict:
 # model construction
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     doc: dict  # as parse_document returns it
     ext: ExtensionComplex
     ring: Ring

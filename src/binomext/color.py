@@ -5,9 +5,9 @@ vectors g_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import (
     Graph,
@@ -36,8 +36,7 @@ class ValidationFailed(RuntimeError):
     """A constructed coloration failed re-validation; never silently fixed."""
 
 
-@dataclass(frozen=True)
-class Coloration:
+class Coloration(NamedTuple):
     num_classes: int
     pairs: tuple[tuple[int, int], ...]  # (vertex id, class index), sorted
 
@@ -340,9 +339,12 @@ def _dtree_attempt(ext: ExtensionComplex) -> Coloration | None:
 # reduction vectors
 
 
-@dataclass(frozen=True)
-class ReductionVectors:
+class _ReductionVectors(NamedTuple):
     forms: tuple[Polynomial, ...]
+
+
+class ReductionVectors(_ReductionVectors):
+    # no __slots__: the instance keeps a __dict__ for its cached hash
 
     @cached_property
     def _hash(self) -> int:

@@ -1,13 +1,12 @@
-"""Simplicial complexes and their graphs: skeletons, clique complexes,
-facet intersection graphs, generalized d-tree recognition, minimal
-non-faces, and proper edge stars.
+"""Simplicial complexes and their graphs: skeletons, generalized d-tree
+recognition, minimal non-faces, proper edges and proper stars.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
+from typing import NamedTuple
 
 
 class EmptyFacet(ValueError):
@@ -18,16 +17,18 @@ class DuplicateVertexInFacet(ValueError):
     """A facet names the same vertex twice."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     name: str
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class _SimplicialComplex(NamedTuple):
     vertices: tuple[Vertex, ...]
     facets: tuple[frozenset[int], ...]
+
+
+class SimplicialComplex(_SimplicialComplex):
+    # no __slots__: the instance keeps a __dict__ for its cached properties
 
     @property
     def dim(self) -> int:
@@ -107,14 +108,18 @@ def validate_complex(raw_facets, vertex_order=None) -> SimplicialComplex:
 # graphs
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Graph(NamedTuple):
     vertex_ids: frozenset[int]
     edges: frozenset[tuple[int, int]]  # pairs stored (min, max)
 
-    def __post_init__(self) -> None:
-        if not all(u < v and u in self.vertex_ids and v in self.vertex_ids for u, v in self.edges):
+
+class Graph(_Graph):
+    __slots__ = ()
+
+    def __new__(cls, vertex_ids: frozenset[int], edges: frozenset[tuple[int, int]]):
+        if not all(u < v and u in vertex_ids and v in vertex_ids for u, v in edges):
             raise ValueError("each edge must be a pair (u, v) of graph vertices with u < v")
+        return super().__new__(cls, vertex_ids, edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -190,34 +195,11 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     return sorted(out, key=lambda c: sorted(c))
 
 
-def clique_number(g: Graph) -> int:
-    return max((len(c) for c in maximal_cliques(g)), default=0)
-
-
-def clique_complex(g: Graph, names: dict[int, str] | None = None) -> SimplicialComplex:
-    """Complex whose facets are the maximal cliques of g (dense re-indexed)."""
-    order = sorted(g.vertex_ids)
-    remap = {v: i for i, v in enumerate(order)}
-    label = names if names is not None else {v: f"v{v}" for v in order}
-    vertices = tuple(Vertex(remap[v], label[v]) for v in order)
-    facets = tuple(frozenset(remap[v] for v in c) for c in maximal_cliques(g))
-    return SimplicialComplex(vertices, facets)
-
-
-def facet_intersection_graph(sc: SimplicialComplex) -> Graph:
-    m = len(sc.facets)
-    pairs = [
-        (i, j) for i, j in combinations(range(m), 2) if sc.facets[i] & sc.facets[j]
-    ]
-    return graph(range(m), pairs)
-
-
 # ---------------------------------------------------------------------------
 # generalized d-trees
 
 
-@dataclass(frozen=True)
-class DTreeVerdict:
+class DTreeVerdict(NamedTuple):
     verdict: bool
     elimination_order: tuple[int, ...] = ()
     reason: str | None = None
@@ -359,8 +341,7 @@ def stanley_reisner_generators(sc: SimplicialComplex) -> list[tuple[int, ...]]:
     return pairs + sorted(out, key=lambda t: (len(t), t))
 
 
-@dataclass(frozen=True)
-class ProperStar:
+class ProperStar(NamedTuple):
     facet: int
     origin: int
     targets: tuple[int, ...]
@@ -372,17 +353,3 @@ def is_proper_edge(sc: SimplicialComplex, l: int, u: int, v: int) -> bool:
     # facet l holds both ends; the edge is proper when no other facet does
     return u in f and v in f and len(sc.holders[u] & sc.holders[v]) == 1
 
-
-def proper_edge_stars(sc: SimplicialComplex) -> list[list[ProperStar]]:
-    """Per facet: every candidate origin with its maximal proper-edge targets."""
-    out: list[list[ProperStar]] = []
-    for l, f in enumerate(sc.facets):
-        stars = []
-        for origin in sorted(f):
-            targets = tuple(
-                t for t in sorted(f) if t != origin and is_proper_edge(sc, l, origin, t)
-            )
-            if targets:
-                stars.append(ProperStar(l, origin, targets))
-        out.append(stars)
-    return out

@@ -5,9 +5,9 @@ graph used by colorations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import (
     Graph,
@@ -47,26 +47,27 @@ class EmptyExtension(ValueError):
     extension at all, so it has no origin either."""
 
 
-@dataclass(frozen=True)
-class FacetExtension:
-    """One facet's extension data: proper star plus point names per edge."""
-
+class _FacetExtension(NamedTuple):
     star: ProperStar
     points: tuple[tuple[str, ...], ...]  # parallel to star.targets
 
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.star.targets):
-            raise ValueError(
-                f"{len(self.points)} point lists for {len(self.star.targets)} targets"
-            )
+
+class FacetExtension(_FacetExtension):
+    """One facet's extension data: proper star plus point names per edge."""
+
+    __slots__ = ()
+
+    def __new__(cls, star: ProperStar, points: tuple[tuple[str, ...], ...]):
+        if len(points) != len(star.targets):
+            raise ValueError(f"{len(points)} point lists for {len(star.targets)} targets")
+        return super().__new__(cls, star, points)
 
     @property
     def total_points(self) -> int:
         return sum(len(p) for p in self.points)
 
 
-@dataclass(frozen=True)
-class ExtensionComplex:
+class ExtensionComplex(NamedTuple):
     base: SimplicialComplex
     extensions: tuple[FacetExtension | None, ...]  # slot per base facet
     var_names: tuple[str, ...]  # base vertices first, then points
@@ -165,21 +166,24 @@ def build_extension_complex(
 # scroll matrices and minors
 
 
-@dataclass(frozen=True)
-class ScrollBlock:
+class _ScrollBlock(NamedTuple):
     run: tuple[int, ...]  # consecutive pairs are the block's columns
 
-    def __post_init__(self) -> None:
-        if len(self.run) < 2 or len(set(self.run)) != len(self.run):
-            raise ValueError(f"a block needs at least two distinct variables, got {self.run}")
+
+class ScrollBlock(_ScrollBlock):
+    __slots__ = ()
+
+    def __new__(cls, run: tuple[int, ...]):
+        if len(run) < 2 or len(set(run)) != len(run):
+            raise ValueError(f"a block needs at least two distinct variables, got {run}")
+        return super().__new__(cls, run)
 
     @property
     def columns(self) -> list[tuple[int, int]]:
         return [(self.run[k], self.run[k + 1]) for k in range(len(self.run) - 1)]
 
 
-@dataclass(frozen=True)
-class ScrollMatrix:
+class ScrollMatrix(NamedTuple):
     facet: int
     blocks: tuple[ScrollBlock, ...]
 
@@ -229,11 +233,14 @@ def scroll_minors(m: ScrollMatrix, ring: Ring) -> list[Polynomial]:
 # ideals
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class _IdealPresentation(NamedTuple):
     ring: Ring
     generators: tuple[Polynomial, ...]
     label: str = ""
+
+
+class IdealPresentation(_IdealPresentation):
+    # no __slots__: the instance keeps a __dict__ for its cached hash
 
     @cached_property
     def _hash(self) -> int:
@@ -289,8 +296,7 @@ def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresenta
 # coloration roles
 
 
-@dataclass(frozen=True)
-class FacetRoles:
+class FacetRoles(NamedTuple):
     """Who plays which part in the star of one extended facet; the reduced
     graph and the binomial-coloration conditions read only these."""
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from functools import reduce
 from itertools import accumulate, chain, combinations_with_replacement, islice
 from operator import or_
+from typing import NamedTuple
 
 
 class OrderMismatch(ValueError):
@@ -73,17 +73,43 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int = 32003
+class _Frozen:
+    """Immutable instances of a __slots__ class, which sets its slots once,
+    in __init__, through object.__setattr__."""
 
-    def __post_init__(self) -> None:
-        if self.p >= PRIME_LIMIT:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PrimeField(_Frozen):
+    """GF(p). A __slots__ class: `red` reads p on every arithmetic step."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int = 32003) -> None:
+        if p >= PRIME_LIMIT:
             raise ValueError(
-                f"field characteristic must be a prime below {PRIME_LIMIT}, got {self.p}"
+                f"field characteristic must be a prime below {PRIME_LIMIT}, got {p}"
             )
-        if not _is_prime(self.p):
-            raise ValueError(f"field characteristic must be prime, got {self.p}")
+        if not _is_prime(p):
+            raise ValueError(f"field characteristic must be prime, got {p}")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"PrimeField(p={self.p!r})"
 
     @property
     def name(self) -> str:
@@ -110,13 +136,26 @@ class PrimeField:
         return str(a - self.p if a > self.p // 2 else a)
 
 
-@dataclass(frozen=True)
 class RationalField:
     """The rationals. An integral element is a Python int and any other a
     Fraction with denominator above 1, so the integral coefficients of the
     paper's bases (+-1) cost int arithmetic. Equality, hashing and printing
     agree between the two: 1 == Fraction(1), hash(1) == hash(Fraction(1))
-    and str(3) == str(Fraction(3))."""
+    and str(3) == str(Fraction(3)). It has no state, so no attribute can be
+    set, and every instance is equal to every other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "RationalField()"
 
     @property
     def name(self) -> str:
@@ -170,8 +209,12 @@ class MonomialOverflow(ValueError):
     """An exponent or a total degree exceeds MAX_EXPONENT."""
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class _MonomialOrder(NamedTuple):
+    kind: str
+    inner: str
+
+
+class MonomialOrder(_MonomialOrder):
     """A monomial order by name.
 
     kinds: lex, deglex, degrevlex, and elim (block order whose first
@@ -179,22 +222,21 @@ class MonomialOrder:
     internal to elimination). The ring lays its monomials out for its order.
     """
 
-    kind: str = "degrevlex"
-    inner: str = "degrevlex"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("lex", "deglex", "degrevlex", "elim"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-        if self.inner not in ("lex", "deglex", "degrevlex"):
-            raise ValueError(f"unknown inner monomial order {self.inner!r}")
+    def __new__(cls, kind: str = "degrevlex", inner: str = "degrevlex"):
+        if kind not in ("lex", "deglex", "degrevlex", "elim"):
+            raise ValueError(f"unknown monomial order {kind!r}")
+        if inner not in ("lex", "deglex", "degrevlex"):
+            raise ValueError(f"unknown inner monomial order {inner!r}")
+        return super().__new__(cls, kind, inner)
 
 
 # ---------------------------------------------------------------------------
 # ring and polynomials
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(_Frozen):
     """Variables, coefficient field and monomial order.
 
     The ring packs its monomials (see FIELD_BITS) in a layout fixed by its
@@ -206,18 +248,28 @@ class Ring:
 
     `key(m)` orders monomials (bigger key = bigger monomial) and `degree(m)`
     is the total degree; both are set from the layout.
+
+    A ring equals and hashes as its (names, field, order). It is a __slots__
+    class: the engine's inner loops read its layout, and a slot is the
+    fastest attribute to read.
     """
 
-    names: tuple[str, ...]
-    field: PrimeField | RationalField
-    order: MonomialOrder = MonomialOrder("degrevlex")
+    __slots__ = (
+        "names", "field", "order", "_hash", "key", "degree", "_shifts", "_units",
+        "_guards", "_low", "_xmask", "_top", "_nbase", "_var_at",
+    )
 
-    def __post_init__(self) -> None:
-        w, n = FIELD_BITS, len(self.names)
-        elim = self.order.kind == "elim"
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        field: PrimeField | RationalField,
+        order: MonomialOrder = MonomialOrder("degrevlex"),
+    ) -> None:
+        w, n = FIELD_BITS, len(names)
+        elim = order.kind == "elim"
         if elim and not n:
             raise ValueError("an elimination order needs its first variable")
-        inner = self.order.inner if elim else self.order.kind
+        inner = order.inner if elim else order.kind
         nbase = n - elim
         top = nbase * w  # the degree field
         fields = range(nbase) if inner == "degrevlex" else range(nbase - 1, -1, -1)
@@ -238,7 +290,12 @@ class Ring:
             key = int  # the int itself
         else:
             key = low.__xor__  # larger exponents, lower key
-        layout = {
+        slots = {
+            "names": names,
+            "field": field,
+            "order": order,
+            # a run-memo key: hashed once, not once per lookup
+            "_hash": hash((names, field, order)),
             "key": key,
             "degree": (lambda m: (m >> top) % _FIELD) if elim else top.__rrshift__,
             "_shifts": tuple(shifts),
@@ -252,8 +309,21 @@ class Ring:
             "_nbase": nbase,
             "_var_at": tuple(var_at),
         }
-        for name, value in layout.items():
+        for name, value in slots.items():
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.names, self.field, self.order) == (other.names, other.field, other.order)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Ring(names={self.names!r}, field={self.field!r}, order={self.order!r})"
 
     @property
     def nvars(self) -> int:
@@ -511,6 +581,9 @@ def memoized(key, compute):
 
     Keys are values (rings, polynomials, integers), never object identities,
     so equal inputs built twice share one answer. Values must be immutable.
+    Each key is a tuple that starts with its own string tag, and each place
+    after the tag holds one type: a NamedTuple record also equals a plain
+    tuple of the same items, and no key can meet such a twin.
     """
     memo = _memo.get()
     if memo is None:
@@ -631,10 +704,6 @@ def normal_form(
             else:
                 del part[p]
     return Polynomial(ring, rem)
-
-
-def ideal_membership(f: Polynomial, basis: list[Polynomial]) -> bool:
-    return normal_form(f, basis).is_zero()
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -877,8 +946,7 @@ def ideal_intersection_many(gen_lists: list[list[Polynomial]], ring: Ring) -> li
 # Hilbert data of the leading-term ideal
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     dimension: int
     codimension: int
     degree: int

@@ -11,7 +11,7 @@ and single-monomial memberships from normal forms modulo that basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .color import (
     Coloration,
@@ -93,14 +93,12 @@ REDUCTION_FAILURES = (EmptyClass, WrongCount, NotSOP)
 # rewriter
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     minor: Polynomial
     result: tuple[int, int]  # variable ids after the step
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(NamedTuple):
     start: tuple[int, int]
     steps: tuple[RewriteStep, ...]
     final: tuple[int, int]
@@ -319,8 +317,7 @@ def verify_sop(vectors: ReductionVectors, b: IdealPresentation) -> bool:
     return krull_dimension_lt(gb_all, ring) == 0
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     vectors: ReductionVectors
     is_sop: bool
     verdicts: tuple[tuple[int, bool], ...]  # (rho, contained)
@@ -361,15 +358,13 @@ def reduction_number(
 # end-to-end verifier and its fallback
 
 
-@dataclass(frozen=True)
-class FacetCondition:
+class FacetCondition(NamedTuple):
     facet: int
     route: str  # "trivial", "single-edge", "private-origin", "degree-2-span"
     details: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A reduction-number certificate: the coloration, its reduction vectors
     and the containment search. The main theorem's carries its per-facet
     conditions and no failure; the fallback's carries no conditions, and a
@@ -480,4 +475,4 @@ def certify(ext: ExtensionComplex, ring: Ring, rho_max: int = 10) -> Certificate
     cert = fallback_reduction(ext, ring, rho_max)
     if cert.failure is not None:
         failure += f"; then {cert.failure}"
-    return replace(cert, failure=failure)
+    return cert._replace(failure=failure)

@@ -1,4 +1,5 @@
-"""Shared fixture loaders and seeded random model generators."""
+"""Shared fixture loaders, seeded random model generators, and the
+complex and ideal helpers that only the tests use."""
 
 from __future__ import annotations
 
@@ -11,17 +12,65 @@ import pytest
 from binomext import (
     ExtensionComplex,
     FacetExtension,
+    Graph,
+    Polynomial,
     ProperStar,
     SimplicialComplex,
+    Vertex,
     build_extension_complex,
-    clique_complex,
     graph,
-    proper_edge_stars,
+    is_proper_edge,
+    maximal_cliques,
+    normal_form,
     validate_complex,
 )
 from binomext.cli import Model, build_model, parse_input
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# ---------------------------------------------------------------------------
+# helpers the tests share and the program never calls
+
+
+def clique_number(g: Graph) -> int:
+    return max((len(c) for c in maximal_cliques(g)), default=0)
+
+
+def clique_complex(g: Graph, names: dict[int, str] | None = None) -> SimplicialComplex:
+    """Complex whose facets are the maximal cliques of g (dense re-indexed)."""
+    order = sorted(g.vertex_ids)
+    remap = {v: i for i, v in enumerate(order)}
+    label = names if names is not None else {v: f"v{v}" for v in order}
+    vertices = tuple(Vertex(remap[v], label[v]) for v in order)
+    facets = tuple(frozenset(remap[v] for v in c) for c in maximal_cliques(g))
+    return SimplicialComplex(vertices, facets)
+
+
+def facet_intersection_graph(sc: SimplicialComplex) -> Graph:
+    m = len(sc.facets)
+    pairs = [(i, j) for i, j in combinations(range(m), 2) if sc.facets[i] & sc.facets[j]]
+    return graph(range(m), pairs)
+
+
+def proper_edge_stars(sc: SimplicialComplex) -> list[list[ProperStar]]:
+    """Per facet: every candidate origin with its maximal proper-edge targets."""
+    out: list[list[ProperStar]] = []
+    for l, f in enumerate(sc.facets):
+        stars = []
+        for origin in sorted(f):
+            targets = tuple(
+                t for t in sorted(f) if t != origin and is_proper_edge(sc, l, origin, t)
+            )
+            if targets:
+                stars.append(ProperStar(l, origin, targets))
+        out.append(stars)
+    return out
+
+
+def ideal_membership(f: Polynomial, basis: list[Polynomial]) -> bool:
+    """Whether f lies in the ideal of basis, a Groebner basis."""
+    return normal_form(f, basis).is_zero()
 
 
 def load_model(name: str) -> Model:

@@ -14,23 +14,26 @@ from binomext.complexes import (
     DuplicateVertexInFacet,
     EmptyFacet,
     Graph,
-    clique_complex,
-    clique_number,
-    facet_intersection_graph,
     graph,
     induces_forest,
     is_connected,
     is_generalized_d_tree,
     is_proper_edge,
     maximal_cliques,
-    proper_edge_stars,
     quasi_tree_order,
     skeleton_graph,
     stanley_reisner_generators,
     validate_complex,
 )
 from binomext.cli import parse_document, run
-from conftest import extended_dtree_document, random_dtree_extension
+from conftest import (
+    clique_complex,
+    clique_number,
+    extended_dtree_document,
+    facet_intersection_graph,
+    proper_edge_stars,
+    random_dtree_extension,
+)
 
 
 def names_of(sc, vids) -> set[str]:

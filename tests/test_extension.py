@@ -31,7 +31,6 @@ from binomext import (
     facet_roles,
     hilbert_data,
     ideal_intersection_many,
-    ideal_membership,
     reduced_graph,
     scroll_matrix,
     scroll_minors,
@@ -41,6 +40,7 @@ from binomext import (
 from binomext.cli import INPUT_ERRORS
 from conftest import (
     ALL_FIXTURE_NAMES,
+    ideal_membership,
     load_model,
     random_dtree_extension,
     random_small_extension,

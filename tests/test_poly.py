@@ -35,12 +35,12 @@ from binomext.poly import (
     hilbert_data,
     ideal_intersection,
     ideal_intersection_many,
-    ideal_membership,
     krull_dimension_lt,
     normal_form,
     rref_rows,
     run_scope,
 )
+from conftest import ideal_membership
 
 
 def ring(names: str, field=None, order: str = "degrevlex") -> Ring:

@@ -8,7 +8,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -760,7 +759,7 @@ def certify_against_its_parts(ext, ring, rho_max: int = 10) -> str:
     assert fallback.facet_conditions is None
     if fallback.failure is not None:
         failure += f"; then {fallback.failure}"
-    assert cert == replace(fallback, failure=failure)
+    assert cert == fallback._replace(failure=failure)
     if cert.coloration is None:
         return "no coloration"
     return "fallback" if cert.reduction is not None else "fallback stopped"
