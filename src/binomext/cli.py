@@ -6,18 +6,17 @@ Exit codes: 0 success, 1 verification failed, 2 input error, 3 internal error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import json.encoder
+import re
 import sys
 import time
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import poly
 from .color import (
     Coloration,
-    ReductionVectors,
     find_coloration,
     g_prime_graph,
     is_binomial_coloration,
@@ -38,39 +37,22 @@ from .extension import (
     FacetExtendedTwice,
     FacetExtension,
     FacetOutOfRange,
-    IdealPresentation,
     NotAProperEdge,
     OriginMismatch,
     binomial_extension_generators,
     binomial_extension_ideal,
     build_extension_complex,
     component_ideals,
-    facet_minors,
     reduced_graph,
     scroll_matrix,
 )
 from .poly import (
-    Polynomial,
-    Ring,
-    covered_columns,
-    division_table,
     field_by_name,
     groebner_basis,
     hilbert_data,
     ideal_intersection_many,
-    krull_dimension_lt,
-    normal_form,
-    rref_rows,
 )
-from .reduce import (
-    BothXVariables,
-    Certificate,
-    certify,
-    degree_containment,
-    fallback_reduction,
-    modB_normal_pair,
-    monomial_covered,
-)
+from .reduce import Certificate, certify
 
 COMMANDS = ("validate", "ideal", "decompose", "hilbert", "color", "reduce", "oracle")
 ORDERS = ("lex", "deglex", "degrevlex")
@@ -227,10 +209,11 @@ def parse_input(path: str) -> dict:
 # model construction
 
 
-class Model(NamedTuple):
-    doc: dict  # as parse_document returns it
-    ext: ExtensionComplex
-    ring: Ring
+class Model(namedtuple("Model", "doc ext ring")):
+    """A document and what it builds: doc (dict, as parse_document returns
+    it), ext (ExtensionComplex) and ring (Ring)."""
+
+    __slots__ = ()
 
 
 def build_model(doc: dict) -> Model:
@@ -444,158 +427,11 @@ def _cmd_reduce(model: Model) -> tuple[bool, dict]:
     }
 
 
-# ---------------------------------------------------------------------------
-# oracle cross-checks
+def _cmd_oracle(model: Model) -> tuple[bool, dict]:
+    # only `oracle` and `--oracle` load the module, and so compile it
+    from .oracle import cross_checks
 
-
-def _rank_coverage(
-    vectors: ReductionVectors, b: IdealPresentation, rho: int
-) -> tuple[tuple[int, ...], frozenset[int]]:
-    """All degree-(rho+1) monomials, packed, and the subset covered by the
-    span of {g_i * m : deg m = rho} and {m * gen : deg = rho+1, gen of B}:
-    the containment by exact linear algebra, independent of the basis
-    GB(B + G) that `reduce` reads it from.
-
-    Monomial generators strike their multiples outright, found through a
-    division table of those generators; the remaining rows are reduced
-    exactly over the field.
-    """
-    ring = b.ring
-    deg = rho + 1
-    cols = ring.monomials_of_degree(deg)
-    low_monos = [g for g in b.generators if len(g.terms) == 1 and g.degree() <= deg]
-    binom_gens = [g for g in b.generators if len(g.terms) > 1 and g.degree() <= deg]
-    divisor = division_table(low_monos, ring).divisor
-    struck = {m for m in cols if divisor(m) is not None}
-    remaining = [m for m in cols if m not in struck]
-    idx = {m: i for i, m in enumerate(remaining)}
-
-    rows: list[dict[int, object]] = []
-
-    def shifted_row(p: Polynomial, shift: int) -> dict[int, object]:
-        # every product has degree deg, so none can cross a field
-        row: dict[int, object] = {}
-        for mono, c in p.terms.items():
-            col = idx.get(mono + shift)
-            if col is not None:
-                row[col] = c
-        return row
-
-    # the forms are linear, so each generator's multipliers have degree
-    # deg less its own; each degree is listed once
-    multipliers: dict[int, list[int]] = {}
-    for g in (*binom_gens, *vectors.forms):
-        e = deg - g.degree()
-        if e not in multipliers:
-            multipliers[e] = ring.monomials_of_degree(e)
-        for m in multipliers[e]:
-            row = shifted_row(g, m)
-            if row:
-                rows.append(row)
-
-    _, pivrows = rref_rows(rows, len(remaining), ring.field)
-    covered = struck.union(remaining[c] for c in covered_columns(pivrows))
-    return tuple(cols), frozenset(covered)
-
-
-def _oracle_checks(model: Model) -> tuple[bool, dict]:
-    """Recompute fast-path answers against Groebner-basis ground truth."""
-    ext, ring, rho_max = model.ext, model.ring, model.doc["options"]["rho_max"]
-    base = ext.base
-    checks: list[dict] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append({"name": name, "ok": ok, "detail": detail})
-
-    b = binomial_extension_ideal(ext, ring)
-    gb_b = groebner_basis(list(b.generators), ring)
-    comps = component_ideals(ext, ring)
-    comp_gbs = [groebner_basis(list(c.generators), ring) for c in comps]
-
-    inter = ideal_intersection_many([list(c.generators) for c in comps], ring)
-    record(
-        "intersection",
-        gb_b == inter,
-        f"basis sizes {len(gb_b)} vs {len(inter)}",
-    )
-
-    expected = 1 + base.dim
-    dims_ok = True
-    details = []
-    kd = krull_dimension_lt(gb_b, ring)
-    hd = hilbert_data(gb_b, ring)
-    dims_ok &= kd == hd.dimension == expected
-    details.append(f"ideal: lt {kd}, series {hd.dimension}, expected {expected}")
-    for c, gb_c, facet in zip(comps, comp_gbs, base.facets):
-        want = len(facet)
-        kd_c = krull_dimension_lt(gb_c, ring)
-        hd_c = hilbert_data(gb_c, ring).dimension
-        dims_ok &= kd_c == hd_c == want
-        details.append(f"{c.label}: lt {kd_c}, series {hd_c}, expected {want}")
-    record("dimensions", bool(dims_ok), "; ".join(details))
-
-    pairs = 0
-    rewrite_ok = True
-    for l in range(len(base.facets)):
-        if ext.is_trivial(l):
-            continue
-        m = scroll_matrix(ext, l)
-        gb_l = groebner_basis(facet_minors(ext, ring, l), ring)
-        table = division_table(gb_l, ring)
-        entries = sorted({v for blk in m.blocks for v in blk.run})
-        for i, u in enumerate(entries):
-            for v in entries[i + 1 :]:
-                try:
-                    trace = modB_normal_pair(m, u, v, ring)
-                except BothXVariables:
-                    continue
-                pairs += 1
-                a, c = trace.start
-                d, e = trace.final
-                diff = ring.var(a).mul(ring.var(c)).sub(ring.var(d).mul(ring.var(e)))
-                if not normal_form(diff, gb_l, table).is_zero():
-                    rewrite_ok = False
-                if trace.family not in (1, 2, 3, 4, 5):
-                    rewrite_ok = False
-    record("rewriter", rewrite_ok, f"{pairs} variable pairs checked")
-
-    cert = fallback_reduction(ext, ring, rho_max)
-    vectors, rep = cert.vectors, cert.reduction
-    if cert.coloration is None:
-        record("containment", True, "skipped: no coloration available")
-    elif vectors is None:
-        record("containment", True, f"skipped: the {cert.method} coloration leaves a class empty")
-    else:
-        rhos = [1]  # without a reduction number only rho = 1 is cross-checked
-        if rep is not None and rep.reduction_number not in (None, 1):
-            rhos.append(rep.reduction_number)
-        cont_ok = True
-        checked = 0
-        for rho in rhos:
-            contained, _ = degree_containment(vectors, b, rho)
-            cols, covered = _rank_coverage(vectors, b, rho)
-            for mono in cols:
-                if monomial_covered(vectors, b, mono) != (mono in covered):
-                    cont_ok = False
-            checked += len(cols)
-            if contained != (len(covered) == len(cols)):
-                cont_ok = False
-        record(
-            "containment",
-            cont_ok,
-            f"{checked} monomials cross-checked via {cert.method} coloration",
-        )
-
-    member_ok = True
-    for c, gb_c in zip(comps, comp_gbs):
-        table = division_table(gb_c, ring)
-        for g in b.generators:
-            if not normal_form(g, gb_c, table).is_zero():
-                member_ok = False
-    record("membership", member_ok, f"{len(b.generators)} generators vs {len(comps)} components")
-
-    diffs = [c["name"] for c in checks if not c["ok"]]
-    return not diffs, {"oracle": {"checks": checks, "diffs": diffs}}
+    return cross_checks(model)
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +467,14 @@ def run(command: str, doc: dict, with_oracle: bool = False) -> dict:
         "hilbert": _cmd_hilbert,
         "color": _cmd_color,
         "reduce": _cmd_reduce,
-        "oracle": _oracle_checks,
+        "oracle": _cmd_oracle,
     }
     with poly.run_scope():
         model = build_model(doc)
         verdict, sections = handlers[command](model)
         report.update(sections)
         if with_oracle and command != "oracle":
-            oracle_ok, oracle_section = _oracle_checks(model)
+            oracle_ok, oracle_section = _cmd_oracle(model)
             report.update(oracle_section)
             verdict = verdict and oracle_ok
         report["timing"] = dict(sorted(poly.counters.items()))
@@ -711,37 +547,205 @@ def _render(value, newline: str, out: list[str]) -> None:
 # entry point
 
 
+USAGE = """\
+usage: binomext [-h] --input INPUT [--out OUT] [--field FIELD]
+                [--order {lex,deglex,degrevlex}] [--rho-max RHO_MAX]
+                [--seed SEED] [--oracle]
+                {validate,ideal,decompose,hilbert,color,reduce,oracle}
+"""
+
+HELP = USAGE + """
+Binomial extension ideals of simplicial complexes.
+
+positional arguments:
+  {validate,ideal,decompose,hilbert,color,reduce,oracle}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to a JSON input document
+  --out OUT             write the JSON report here instead of stdout
+  --field FIELD         override the document field (prime or 'rational')
+  --order {lex,deglex,degrevlex}
+                        override the monomial order
+  --rho-max RHO_MAX     override the containment search bound
+  --seed SEED           override the document seed
+  --oracle              add Groebner cross-checks
+"""
+
+# every option string, in the order that ambiguity messages list them, and
+# the option it names; help and oracle take no value
+_OPTIONS = {
+    "-h": "help",
+    "--help": "help",
+    "--input": "input",
+    "--out": "out",
+    "--field": "field",
+    "--order": "order",
+    "--rho-max": "rho_max",
+    "--seed": "seed",
+    "--oracle": "oracle",
+}
+_FLAGS = ("help", "oracle")
+# argparse's test for an argument that is a value though it starts with "-"
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+class UsageError(ValueError):
+    """The command line does not parse; main prints the usage and exits 2."""
+
+
+def _option_name(dest: str) -> str:
+    return "-h/--help" if dest == "help" else "--" + dest.replace("_", "-")
+
+
+def _read_option(arg: str):
+    """How argparse reads one argument: None for a value (the command or an
+    option's value); otherwise (option, option string, the value given with
+    it or None), where the option is None when no option is named. A long
+    option may be any unique prefix of its name, with or without `=value`,
+    and `-h` may run on into further letters."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in _OPTIONS:
+        return _OPTIONS[arg], arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in _OPTIONS:
+        return _OPTIONS[name], name, value
+    if arg.startswith("--"):
+        matches = [(o, value if eq else None) for o in _OPTIONS if o.startswith(name)]
+    else:
+        matches = [("-h", arg[2:])] if arg.startswith("-h") else []
+    if len(matches) > 1:
+        raise UsageError(
+            f"ambiguous option: {arg} could match {', '.join(o for o, _ in matches)}"
+        )
+    if matches:
+        (o, value), = matches
+        return _OPTIONS[o], o, value
+    if re.match(_NEGATIVE_NUMBER, arg) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def parse_argv(argv: list[str]) -> dict | None:
+    """The options of a command line, or None when it asks for help: a
+    dict of command, input, out, field, order, rho_max and seed, each None
+    when not given, and oracle, a bool.
+
+    The forms are those argparse reads: `--opt value` and `--opt=value`, a
+    unique prefix of a long option, the command anywhere, the last of a
+    repeated option, a negative number as a value, and `--` before
+    arguments that are not options. Anything else raises UsageError with
+    argparse's message, met in argparse's order: ambiguous prefixes first,
+    then each argument from the left, then what is missing or left over.
+    """
+    # each argument read as an option, None for a value, "--" for the first
+    # "--", after which nothing is an option
+    kinds: list = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            kinds += ["--"] + [None] * (len(argv) - i - 1)
+            break
+        kinds.append(_read_option(arg))
+    opts: dict = dict.fromkeys(("command", "input", "out", "field", "order", "rho_max", "seed"))
+    opts["oracle"] = False
+    extras: list[str] = []
+
+    def take_command(value: str) -> None:
+        if value not in COMMANDS:
+            choices = ", ".join(map(repr, COMMANDS))
+            raise UsageError(
+                f"argument command: invalid choice: {value!r} (choose from {choices})"
+            )
+        opts["command"] = value
+
+    last_option = max((i for i, k in enumerate(kinds) if isinstance(k, tuple)), default=-1)
+    i = 0
+    while i <= last_option:
+        kind = kinds[i]
+        i += 1
+        if kind is None:
+            # the first value before, between or after the options
+            if opts["command"] is None:
+                take_command(argv[i - 1])
+            else:
+                extras.append(argv[i - 1])
+            continue
+        dest, option, value = kind
+        if dest is None:
+            extras.append(option)
+        elif dest in _FLAGS:
+            if value is not None:
+                # -hh... is -h given twice; any other value is refused
+                rest = value.lstrip("h") if option == "-h" else value
+                if rest or not value:
+                    raise UsageError(
+                        f"argument {_option_name(dest)}: ignored explicit argument {rest!r}"
+                    )
+            if dest == "help":
+                return None
+            opts["oracle"] = True
+        else:
+            if value is None:
+                if i == len(argv) or kinds[i] is not None:
+                    raise UsageError(f"argument {_option_name(dest)}: expected one argument")
+                value = argv[i]
+                i += 1
+            if dest in ("rho_max", "seed"):
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(
+                        f"argument {_option_name(dest)}: invalid int value: {value!r}"
+                    ) from None
+            elif dest == "order" and value not in ORDERS:
+                choices = ", ".join(map(repr, ORDERS))
+                raise UsageError(
+                    f"argument --order: invalid choice: {value!r} (choose from {choices})"
+                )
+            opts[dest] = value
+    if opts["command"] is None:
+        # after the last option the command may stand between "--"s
+        i += i < len(argv) and kinds[i] == "--"
+        if i < len(argv):
+            take_command(argv[i])
+            i += 1 + (i + 1 < len(argv) and kinds[i + 1] == "--")
+    extras += argv[i:]
+    missing = [name for name in ("command", "input") if opts[name] is None]
+    if missing:
+        names = ", ".join("--input" if n == "input" else n for n in missing)
+        raise UsageError(f"the following arguments are required: {names}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return opts
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="binomext",
-        description="Binomial extension ideals of simplicial complexes.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--input", required=True, help="path to a JSON input document")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--field", help="override the document field (prime or 'rational')")
-    parser.add_argument("--order", choices=ORDERS, help="override the monomial order")
-    parser.add_argument("--rho-max", type=int, help="override the containment search bound")
-    parser.add_argument("--seed", type=int, help="override the document seed")
-    parser.add_argument("--oracle", action="store_true", help="add Groebner cross-checks")
-    args = parser.parse_args(argv)
+    try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}binomext: error: {exc}\n")
+        return EXIT_INPUT_ERROR
+    if args is None:
+        sys.stdout.write(HELP)
+        return EXIT_OK
 
     started = time.monotonic()
     try:
         # overrides go into the document, so parse_document validates them
-        data = parse_input(args.input)
-        if args.field is not None:
+        data = parse_input(args["input"])
+        if args["field"] is not None:
             try:
-                data["field"] = int(args.field)
+                data["field"] = int(args["field"])
             except ValueError:
-                data["field"] = args.field
-        if args.order is not None:
-            data["order"] = args.order
-        if args.rho_max is not None:
-            data["options"]["rho_max"] = args.rho_max
-        if args.seed is not None:
-            data["options"]["seed"] = args.seed
-        report = run(args.command, parse_document(data), with_oracle=args.oracle)
+                data["field"] = args["field"]
+        if args["order"] is not None:
+            data["order"] = args["order"]
+        if args["rho_max"] is not None:
+            data["options"]["rho_max"] = args["rho_max"]
+        if args["seed"] is not None:
+            data["options"]["seed"] = args["seed"]
+        report = run(args["command"], parse_document(data), with_oracle=args["oracle"])
     except (SchemaError, UnknownName, *INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -750,18 +754,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
     text = render_report(report)
-    if args.out:
+    if args["out"]:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"error: cannot write {args['out']}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     else:
         sys.stdout.write(text)
     elapsed = time.monotonic() - started
     print(
-        f"{args.command}: verdict={'pass' if report['verdict'] else 'fail'} "
+        f"{args['command']}: verdict={'pass' if report['verdict'] else 'fail'} "
         f"wall={elapsed:.3f}s",
         file=sys.stderr,
     )

@@ -5,9 +5,9 @@ vectors g_i.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 from .complexes import (
     Graph,
@@ -17,7 +17,7 @@ from .complexes import (
     skeleton_graph,
 )
 from .extension import ExtensionComplex, facet_roles, reduced_graph
-from .poly import Polynomial, Ring, memoized
+from .poly import Ring, memoized
 
 
 class UncoloredVertex(ValueError):
@@ -36,9 +36,11 @@ class ValidationFailed(RuntimeError):
     """A constructed coloration failed re-validation; never silently fixed."""
 
 
-class Coloration(NamedTuple):
-    num_classes: int
-    pairs: tuple[tuple[int, int], ...]  # (vertex id, class index), sorted
+class Coloration(namedtuple("Coloration", "num_classes pairs")):
+    """num_classes (int) and pairs (tuple[tuple[int, int], ...], the sorted
+    (vertex id, class index) pairs)."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_map(num_classes: int, assignment: dict[int, int]) -> "Coloration":
@@ -339,11 +341,9 @@ def _dtree_attempt(ext: ExtensionComplex) -> Coloration | None:
 # reduction vectors
 
 
-class _ReductionVectors(NamedTuple):
-    forms: tuple[Polynomial, ...]
+class ReductionVectors(namedtuple("ReductionVectors", "forms")):
+    """forms (tuple[Polynomial, ...]): one linear form per coloration class."""
 
-
-class ReductionVectors(_ReductionVectors):
     # no __slots__: the instance keeps a __dict__ for its cached hash
 
     @cached_property

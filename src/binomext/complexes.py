@@ -3,10 +3,10 @@ recognition, minimal non-faces, proper edges and proper stars.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
-from typing import NamedTuple
 
 
 class EmptyFacet(ValueError):
@@ -17,17 +17,16 @@ class DuplicateVertexInFacet(ValueError):
     """A facet names the same vertex twice."""
 
 
-class Vertex(NamedTuple):
-    id: int
-    name: str
+class Vertex(namedtuple("Vertex", "id name")):
+    """A vertex: its dense id (int) and its name (str)."""
+
+    __slots__ = ()
 
 
-class _SimplicialComplex(NamedTuple):
-    vertices: tuple[Vertex, ...]
-    facets: tuple[frozenset[int], ...]
+class SimplicialComplex(namedtuple("SimplicialComplex", "vertices facets")):
+    """A complex: vertices (tuple[Vertex, ...], indexed by id) and facets
+    (tuple[frozenset[int], ...] of vertex ids)."""
 
-
-class SimplicialComplex(_SimplicialComplex):
     # no __slots__: the instance keeps a __dict__ for its cached properties
 
     @property
@@ -108,12 +107,10 @@ def validate_complex(raw_facets, vertex_order=None) -> SimplicialComplex:
 # graphs
 
 
-class _Graph(NamedTuple):
-    vertex_ids: frozenset[int]
-    edges: frozenset[tuple[int, int]]  # pairs stored (min, max)
+class Graph(namedtuple("Graph", "vertex_ids edges")):
+    """A graph: vertex_ids (frozenset[int]) and edges
+    (frozenset[tuple[int, int]], each pair stored as (min, max))."""
 
-
-class Graph(_Graph):
     __slots__ = ()
 
     def __new__(cls, vertex_ids: frozenset[int], edges: frozenset[tuple[int, int]]):
@@ -199,10 +196,13 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 # generalized d-trees
 
 
-class DTreeVerdict(NamedTuple):
-    verdict: bool
-    elimination_order: tuple[int, ...] = ()
-    reason: str | None = None
+class DTreeVerdict(
+    namedtuple("DTreeVerdict", "verdict elimination_order reason", defaults=((), None))
+):
+    """verdict (bool), elimination_order (tuple[int, ...], default ()) and
+    reason (str | None, default None)."""
+
+    __slots__ = ()
 
 
 def quasi_tree_order(facets) -> list[int] | None:
@@ -341,10 +341,11 @@ def stanley_reisner_generators(sc: SimplicialComplex) -> list[tuple[int, ...]]:
     return pairs + sorted(out, key=lambda t: (len(t), t))
 
 
-class ProperStar(NamedTuple):
-    facet: int
-    origin: int
-    targets: tuple[int, ...]
+class ProperStar(namedtuple("ProperStar", "facet origin targets")):
+    """A proper star: facet (int, its index), origin (int, a vertex id) and
+    targets (tuple[int, ...], vertex ids)."""
+
+    __slots__ = ()
 
 
 def is_proper_edge(sc: SimplicialComplex, l: int, u: int, v: int) -> bool:

@@ -6,8 +6,8 @@ graph used by colorations.
 from __future__ import annotations
 
 from functools import cached_property
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .complexes import (
     Graph,
@@ -47,13 +47,10 @@ class EmptyExtension(ValueError):
     extension at all, so it has no origin either."""
 
 
-class _FacetExtension(NamedTuple):
-    star: ProperStar
-    points: tuple[tuple[str, ...], ...]  # parallel to star.targets
-
-
-class FacetExtension(_FacetExtension):
-    """One facet's extension data: proper star plus point names per edge."""
+class FacetExtension(namedtuple("FacetExtension", "star points")):
+    """One facet's extension data: star (ProperStar) and points
+    (tuple[tuple[str, ...], ...], the point names per edge, parallel to
+    star.targets)."""
 
     __slots__ = ()
 
@@ -67,11 +64,16 @@ class FacetExtension(_FacetExtension):
         return sum(len(p) for p in self.points)
 
 
-class ExtensionComplex(NamedTuple):
-    base: SimplicialComplex
-    extensions: tuple[FacetExtension | None, ...]  # slot per base facet
-    var_names: tuple[str, ...]  # base vertices first, then points
-    point_ids: tuple[tuple[tuple[int, ...], ...] | None, ...]
+class ExtensionComplex(
+    namedtuple("ExtensionComplex", "base extensions var_names point_ids")
+):
+    """A base complex with its extensions. base (SimplicialComplex);
+    extensions (tuple[FacetExtension | None, ...], a slot per base facet);
+    var_names (tuple[str, ...], the base vertices first, then the points);
+    point_ids (tuple[tuple[tuple[int, ...], ...] | None, ...], per facet the
+    variable ids of each edge's points)."""
+
+    __slots__ = ()
 
     @property
     def n_base(self) -> int:
@@ -166,11 +168,10 @@ def build_extension_complex(
 # scroll matrices and minors
 
 
-class _ScrollBlock(NamedTuple):
-    run: tuple[int, ...]  # consecutive pairs are the block's columns
+class ScrollBlock(namedtuple("ScrollBlock", "run")):
+    """run (tuple[int, ...], variable ids): consecutive pairs are the
+    block's columns."""
 
-
-class ScrollBlock(_ScrollBlock):
     __slots__ = ()
 
     def __new__(cls, run: tuple[int, ...]):
@@ -183,9 +184,10 @@ class ScrollBlock(_ScrollBlock):
         return [(self.run[k], self.run[k + 1]) for k in range(len(self.run) - 1)]
 
 
-class ScrollMatrix(NamedTuple):
-    facet: int
-    blocks: tuple[ScrollBlock, ...]
+class ScrollMatrix(namedtuple("ScrollMatrix", "facet blocks")):
+    """facet (int, its index) and blocks (tuple[ScrollBlock, ...])."""
+
+    __slots__ = ()
 
     @property
     def columns(self) -> list[tuple[int, int]]:
@@ -233,13 +235,12 @@ def scroll_minors(m: ScrollMatrix, ring: Ring) -> list[Polynomial]:
 # ideals
 
 
-class _IdealPresentation(NamedTuple):
-    ring: Ring
-    generators: tuple[Polynomial, ...]
-    label: str = ""
+class IdealPresentation(
+    namedtuple("IdealPresentation", "ring generators label", defaults=("",))
+):
+    """An ideal by its generators: ring (Ring), generators
+    (tuple[Polynomial, ...]) and label (str, default "")."""
 
-
-class IdealPresentation(_IdealPresentation):
     # no __slots__: the instance keeps a __dict__ for its cached hash
 
     @cached_property
@@ -296,14 +297,16 @@ def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresenta
 # coloration roles
 
 
-class FacetRoles(NamedTuple):
+class FacetRoles(namedtuple("FacetRoles", "origin targets firsts members")):
     """Who plays which part in the star of one extended facet; the reduced
-    graph and the binomial-coloration conditions read only these."""
+    graph and the binomial-coloration conditions read only these.
 
-    origin: int | None  # None when the facet carries no point
-    targets: tuple[int, ...]
-    firsts: tuple[int | None, ...]  # y_2..y_k; None for an edge without points
-    members: frozenset[int]  # the facet's base vertices plus every y_j
+    origin (int | None, None when the facet carries no point); targets
+    (tuple[int, ...]); firsts (tuple[int | None, ...], y_2..y_k, None for an
+    edge without points); members (frozenset[int], the facet's base vertices
+    plus every y_j)."""
+
+    __slots__ = ()
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:

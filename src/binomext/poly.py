@@ -24,14 +24,13 @@ including generator order inside computed bases.
 from __future__ import annotations
 
 from bisect import insort
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from functools import reduce
 from itertools import accumulate, chain, combinations_with_replacement, islice
 from operator import or_
-from typing import NamedTuple
 
 
 class OrderMismatch(ValueError):
@@ -116,6 +115,11 @@ class PrimeField(_Frozen):
         return f"gf({self.p})"
 
     def of(self, a) -> int:
+        if type(a) is int:
+            return a % self.p
+        # a number of another type: only a Fraction needs the module
+        from fractions import Fraction
+
         if isinstance(a, Fraction):
             return self.of(a.numerator) * self.inv(self.of(a.denominator)) % self.p
         return int(a) % self.p
@@ -142,9 +146,23 @@ class RationalField:
     paper's bases (+-1) cost int arithmetic. Equality, hashing and printing
     agree between the two: 1 == Fraction(1), hash(1) == hash(Fraction(1))
     and str(3) == str(Fraction(3)). It has no state, so no attribute can be
-    set, and every instance is equal to every other."""
+    set, and every instance is equal to every other.
+
+    Making one imports `fractions` and binds the module's `Fraction`, which
+    `of` and `inv` read; a process that never works over the rationals
+    never imports it. A copy or an unpickled instance is made by calling
+    the class, so it binds `Fraction` too."""
 
     __slots__ = ()
+
+    def __new__(cls):
+        global Fraction
+        from fractions import Fraction
+
+        return super().__new__(cls)
+
+    def __reduce__(self):
+        return RationalField, ()
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -209,13 +227,8 @@ class MonomialOverflow(ValueError):
     """An exponent or a total degree exceeds MAX_EXPONENT."""
 
 
-class _MonomialOrder(NamedTuple):
-    kind: str
-    inner: str
-
-
-class MonomialOrder(_MonomialOrder):
-    """A monomial order by name.
+class MonomialOrder(namedtuple("MonomialOrder", "kind inner")):
+    """A monomial order by name: kind and inner (str).
 
     kinds: lex, deglex, degrevlex, and elim (block order whose first
     variable dominates, with `inner` ordering the remaining variables;
@@ -582,7 +595,7 @@ def memoized(key, compute):
     Keys are values (rings, polynomials, integers), never object identities,
     so equal inputs built twice share one answer. Values must be immutable.
     Each key is a tuple that starts with its own string tag, and each place
-    after the tag holds one type: a NamedTuple record also equals a plain
+    after the tag holds one type: a namedtuple record also equals a plain
     tuple of the same items, and no key can meet such a twin.
     """
     memo = _memo.get()
@@ -946,11 +959,11 @@ def ideal_intersection_many(gen_lists: list[list[Polynomial]], ring: Ring) -> li
 # Hilbert data of the leading-term ideal
 
 
-class HilbertData(NamedTuple):
-    dimension: int
-    codimension: int
-    degree: int
-    numerator: tuple[int, ...]  # Hilbert series numerator over (1-t)^nvars
+class HilbertData(namedtuple("HilbertData", "dimension codimension degree numerator")):
+    """dimension, codimension and degree (int), and numerator
+    (tuple[int, ...], the Hilbert series numerator over (1-t)^nvars)."""
+
+    __slots__ = ()
 
 
 def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,10 +11,9 @@ and single-monomial memberships from normal forms modulo that basis.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .color import (
-    Coloration,
     EmptyClass,
     ReductionVectors,
     find_coloration,
@@ -93,16 +92,18 @@ REDUCTION_FAILURES = (EmptyClass, WrongCount, NotSOP)
 # rewriter
 
 
-class RewriteStep(NamedTuple):
-    minor: Polynomial
-    result: tuple[int, int]  # variable ids after the step
+class RewriteStep(namedtuple("RewriteStep", "minor result")):
+    """minor (Polynomial, the scroll minor applied) and result
+    (tuple[int, int], the variable ids after the step)."""
+
+    __slots__ = ()
 
 
-class RewriteTrace(NamedTuple):
-    start: tuple[int, int]
-    steps: tuple[RewriteStep, ...]
-    final: tuple[int, int]
-    family: int
+class RewriteTrace(namedtuple("RewriteTrace", "start steps final family")):
+    """start and final (tuple[int, int], variable ids), steps
+    (tuple[RewriteStep, ...]) and family (int)."""
+
+    __slots__ = ()
 
 
 def _positions(m: ScrollMatrix) -> dict[int, tuple[int, int]]:
@@ -317,13 +318,19 @@ def verify_sop(vectors: ReductionVectors, b: IdealPresentation) -> bool:
     return krull_dimension_lt(gb_all, ring) == 0
 
 
-class ReductionReport(NamedTuple):
-    vectors: ReductionVectors
-    is_sop: bool
-    verdicts: tuple[tuple[int, bool], ...]  # (rho, contained)
-    witnesses: tuple[tuple[int, tuple[str, ...]], ...]  # failing rho -> monomials
-    reduction_number: int | None
-    bound_exceeded: bool
+class ReductionReport(
+    namedtuple(
+        "ReductionReport",
+        "vectors is_sop verdicts witnesses reduction_number bound_exceeded",
+    )
+):
+    """vectors (ReductionVectors); is_sop (bool); verdicts
+    (tuple[tuple[int, bool], ...], the (rho, contained) pairs); witnesses
+    (tuple[tuple[int, tuple[str, ...]], ...], each failing rho with its
+    uncovered monomials); reduction_number (int | None); bound_exceeded
+    (bool)."""
+
+    __slots__ = ()
 
 
 def reduction_number(
@@ -358,25 +365,32 @@ def reduction_number(
 # end-to-end verifier and its fallback
 
 
-class FacetCondition(NamedTuple):
-    facet: int
-    route: str  # "trivial", "single-edge", "private-origin", "degree-2-span"
-    details: tuple[str, ...] = ()
+class FacetCondition(namedtuple("FacetCondition", "facet route details", defaults=((),))):
+    """facet (int); route (str: "trivial", "single-edge", "private-origin"
+    or "degree-2-span"); details (tuple[str, ...], default ())."""
+
+    __slots__ = ()
 
 
-class Certificate(NamedTuple):
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "method coloration vectors reduction facet_conditions failure",
+        defaults=(None, None),
+    )
+):
     """A reduction-number certificate: the coloration, its reduction vectors
     and the containment search. The main theorem's carries its per-facet
     conditions and no failure; the fallback's carries no conditions, and a
     part it could not reach is None. `certify`'s failure names why the
-    theorem did not apply, then why the fallback stopped, if it did."""
+    theorem did not apply, then why the fallback stopped, if it did.
 
-    method: str  # find_coloration's: "dtree" or "search"
-    coloration: Coloration | None
-    vectors: ReductionVectors | None
-    reduction: ReductionReport | None
-    facet_conditions: tuple[FacetCondition, ...] | None = None
-    failure: str | None = None
+    method (str, find_coloration's: "dtree" or "search"); coloration
+    (Coloration | None); vectors (ReductionVectors | None); reduction
+    (ReductionReport | None); facet_conditions (tuple[FacetCondition, ...]
+    | None, default None); failure (str | None, default None)."""
+
+    __slots__ = ()
 
 
 def _facet_condition(

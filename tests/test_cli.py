@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import binomext.cli as cli_module
 import binomext.extension as extension_module
+import binomext.oracle as oracle_module
 import binomext.reduce as reduce_module
 from binomext import DuplicatePointName, OrderMismatch, Ring, binomial_extension_ideal, color
 from binomext.cli import (
@@ -635,13 +635,13 @@ def test_the_oracle_asks_once_per_monomial_it_counts(name: str, monkeypatch) -> 
     # the containment detail counts the monomials cross-checked, each one
     # membership question; on cycles_full they span rho = 1 and rho = 2
     calls = []
-    covered = cli_module.monomial_covered
+    covered = oracle_module.monomial_covered
 
     def counted(vectors, b, m):
         calls.append(m)
         return covered(vectors, b, m)
 
-    monkeypatch.setattr(cli_module, "monomial_covered", counted)
+    monkeypatch.setattr(oracle_module, "monomial_covered", counted)
     report = run("oracle", parse_input(str(FIXTURES / f"{name}.json")))
     detail = {c["name"]: c["detail"] for c in report["oracle"]["checks"]}["containment"]
     checked = int(detail.split()[0])
@@ -651,13 +651,13 @@ def test_the_oracle_asks_once_per_monomial_it_counts(name: str, monkeypatch) -> 
 
 
 def test_a_rank_coverage_that_misses_a_monomial_is_a_containment_diff(monkeypatch) -> None:
-    rank = cli_module._rank_coverage
+    rank = oracle_module.rank_coverage
 
     def dropped(vectors, b, rho):
         cols, covered = rank(vectors, b, rho)
         return cols, covered - {min(covered)}
 
-    monkeypatch.setattr(cli_module, "_rank_coverage", dropped)
+    monkeypatch.setattr(oracle_module, "rank_coverage", dropped)
     report = run("oracle", parse_input(str(FIXTURES / "greduit.json")))
     assert report["oracle"]["diffs"] == ["containment"]
 
@@ -782,6 +782,147 @@ def test_main_oracle_flag(capsys) -> None:
     report = json.loads(capsys.readouterr().out)
     assert report["oracle"] is not None
     assert report["oracle"]["diffs"] == []
+
+
+# The command line as argparse parsed it, pinned from its output: the same
+# options and forms, the same messages, the same exit codes. COLUMNS is set
+# to 80 wherever the text is compared, the width argparse wrapped it to.
+USAGE = """\
+usage: binomext [-h] --input INPUT [--out OUT] [--field FIELD]
+                [--order {lex,deglex,degrevlex}] [--rho-max RHO_MAX]
+                [--seed SEED] [--oracle]
+                {validate,ideal,decompose,hilbert,color,reduce,oracle}
+"""
+
+HELP = USAGE + """
+Binomial extension ideals of simplicial complexes.
+
+positional arguments:
+  {validate,ideal,decompose,hilbert,color,reduce,oracle}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         path to a JSON input document
+  --out OUT             write the JSON report here instead of stdout
+  --field FIELD         override the document field (prime or 'rational')
+  --order {lex,deglex,degrevlex}
+                        override the monomial order
+  --rho-max RHO_MAX     override the containment search bound
+  --seed SEED           override the document seed
+  --oracle              add Groebner cross-checks
+"""
+
+_G = str(FIXTURES / "greduit.json")
+
+# (argv, the argv spelled out in full that must print the same report)
+ARGV_SAME_AS = [
+    (["validate", f"--input={_G}"], ["validate", "--input", _G]),
+    (
+        ["hilbert", f"--input={_G}", "--field=rational", "--order=deglex", "--rho-max=4", "--seed=9"],
+        ["hilbert", "--input", _G, "--field", "rational", "--order", "deglex", "--rho-max", "4", "--seed", "9"],
+    ),
+    (["reduce", "--input", _G, "--rho", "3"], ["reduce", "--input", _G, "--rho-max", "3"]),
+    (
+        ["reduce", "--in", _G, "--rho=3", "--se", "-1", "--f", "32003", "--ord", "lex"],
+        ["reduce", "--input", _G, "--rho-max", "3", "--seed", "-1", "--field", "32003", "--order", "lex"],
+    ),
+    (
+        ["reduce", "--input", "missing.json", "--input", _G, "--rho-max", "1", "--rho-max", "3"],
+        ["reduce", "--input", _G, "--rho-max", "3"],
+    ),
+    (["--input", _G, "reduce", "--oracle", "--oracle"], ["reduce", "--input", _G, "--oracle"]),
+    (["--seed", "-1", "--in", _G, "validate"], ["validate", "--input", _G, "--seed", "-1"]),
+    (["reduce", "--input", _G, "--rho-max", " +3 "], ["reduce", "--input", _G, "--rho-max", "3"]),
+]
+
+# (argv, the error line argparse printed under the usage)
+ARGV_ERRORS = [
+    (["reduce", "--input", _G, "--o", "x"], "ambiguous option: --o could match --out, --order, --oracle"),
+    (["reduce", "--input", _G, "--foo"], "unrecognized arguments: --foo"),
+    (["reduce", "--input", _G, "--foo=1", "-x"], "unrecognized arguments: --foo=1 -x"),
+    (["reduce", "--input", _G, "extra"], "unrecognized arguments: extra"),
+    (["reduce", "--input", _G, "--", "x"], "unrecognized arguments: -- x"),
+    (["reduce"], "the following arguments are required: --input"),
+    ([], "the following arguments are required: command, --input"),
+    (["--", "reduce", "--input", _G], "the following arguments are required: --input"),
+    (["reduce", "--input"], "argument --input: expected one argument"),
+    (["reduce", "--input", _G, "--seed"], "argument --seed: expected one argument"),
+    (["reduce", "--input", _G, "--seed", "-x"], "argument --seed: expected one argument"),
+    (
+        ["explode", "--input", _G],
+        "argument command: invalid choice: 'explode' (choose from 'validate', 'ideal', "
+        "'decompose', 'hilbert', 'color', 'reduce', 'oracle')",
+    ),
+    (
+        ["reduce", "--input", _G, "--order", "lex", "--order", "revlex"],
+        "argument --order: invalid choice: 'revlex' (choose from 'lex', 'deglex', 'degrevlex')",
+    ),
+    (["reduce", "--input", _G, "--rho-max", "x"], "argument --rho-max: invalid int value: 'x'"),
+    (["reduce", "--input", _G, "--rho-max="], "argument --rho-max: invalid int value: ''"),
+    (["reduce", "--input", _G, "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    (["reduce", "--input", _G, "--oracle=1"], "argument --oracle: ignored explicit argument '1'"),
+    (["reduce", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["reduce", "--rho-max", "x", "--help"], "argument --rho-max: invalid int value: 'x'"),
+    (["--help", "--o"], "ambiguous option: --o could match --out, --order, --oracle"),
+]
+
+
+def _exit_of(argv: list[str], capsys) -> tuple[int, str, str]:
+    # main returns the exit code; argparse, which these cases were pinned
+    # against, raised it as SystemExit
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, same_as", ARGV_SAME_AS)
+def test_every_argv_form_prints_the_report_of_the_full_form(argv, same_as, capsys) -> None:
+    code, expected, _ = _exit_of(same_as, capsys)
+    assert code == EXIT_OK
+    got_code, got, err = _exit_of(argv, capsys)
+    assert (got_code, got) == (code, expected)
+    assert err.startswith(f"{same_as[0]}: verdict=pass")
+
+
+def test_the_out_option_takes_both_forms(tmp_path, capsys) -> None:
+    code, expected, _ = _exit_of(["validate", "--input", _G], capsys)
+    for argv in (["--out", str(tmp_path / "a.json")], [f"--out={tmp_path / 'b.json'}"]):
+        assert _exit_of(["validate", "--input", _G, *argv], capsys)[:2] == (code, "")
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text() == expected
+
+
+def test_a_value_of_two_dashes_is_taken_as_given(tmp_path, monkeypatch, capsys) -> None:
+    # argparse dropped the "--" of `--input=--` and stored an empty list,
+    # which main met as an internal error (exit 3); it is a file name here
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _exit_of(["validate", "--input=--"], capsys)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == f"error: cannot read --: {FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), '--')}\n"
+
+
+def test_a_negative_seed_is_a_value(capsys) -> None:
+    code, out, _ = _exit_of(["validate", "--input", _G, "--seed", "-1"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["input"]["options"]["seed"] == -1
+
+
+@pytest.mark.parametrize("argv, message", ARGV_ERRORS)
+def test_a_bad_argv_prints_the_usage_and_exits_two(argv, message, capsys, monkeypatch) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_of(argv, capsys)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == f"{USAGE}binomext: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["reduce", "--h"], ["-hh"], ["reduce", "--foo", "--help", "--rho-max", "x"]]
+)
+def test_help_prints_to_stdout_and_exits_zero(argv, capsys, monkeypatch) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_of(argv, capsys) == (EXIT_OK, HELP, "")
 
 
 def test_field_override_changes_the_model() -> None:

@@ -57,9 +57,9 @@ from binomext import (
     verify_main_theorem,
     verify_sop,
 )
-from binomext.cli import _rank_coverage as rank_coverage
 from binomext.cli import build_model, parse_document, run
 from binomext.color import EmptyClass, find_coloration
+from binomext.oracle import rank_coverage
 from binomext.poly import counters
 from binomext.reduce import THEOREM_FAILURES, ReductionReport, fallback_reduction
 from conftest import (
