@@ -154,6 +154,13 @@ def cross_checks(model) -> tuple[bool, dict]:
 
     cert = fallback_reduction(ext, ring, rho_max)
     vectors, rep = cert.vectors, cert.reduction
+    # `verify_sop` accepts the forms without GB(B) when one facet's component
+    # bounds dim R/B; GB(B) confirms the count here
+    if rep is None:
+        record("sop", True, "skipped: the fallback certificate claims no system of parameters")
+    else:
+        count = len(vectors.forms)
+        record("sop", kd == count, f"{count} forms for dimension {kd}")
     if cert.coloration is None:
         record("containment", True, "skipped: no coloration available")
     elif vectors is None:

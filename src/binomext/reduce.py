@@ -4,10 +4,12 @@ of m^(rho+1) in G*m^rho + B, the end-to-end verifier combining
 coloration, hypotheses, and containment, and `certify`, which returns the
 verifier's certificate or, when the theorem does not apply, the fallback's.
 
-Both questions are read off the two Groebner bases `verify_sop` computes,
-GB(B) and GB(B + G): the dimension from their leading monomials, the
-containment from the standard monomials of GB(B + G), and its witnesses
-and single-monomial memberships from normal forms modulo that basis.
+Both questions are read off GB(B + G), the basis `verify_sop` computes
+first: whether the forms are a system of parameters from its leading
+monomials, with dim R/B bounded below by one facet's component (and GB(B)
+computed only when that bound leaves the count open), the containment from
+its standard monomials, and the containment's witnesses and single-monomial
+memberships from normal forms modulo it.
 """
 from __future__ import annotations
 
@@ -207,7 +209,8 @@ def modB_normal_pair(m: ScrollMatrix, u: int, v: int, ring: Ring) -> RewriteTrac
 
 
 def _basis_with_forms(vectors: ReductionVectors, b: IdealPresentation) -> list[Polynomial]:
-    """GB(B + G), the basis `verify_sop` computes, from the run memo.
+    """GB(B + G), from the run memo: `verify_sop` computes it first, as it
+    decides the system of parameters from it.
 
     G is linear and B homogeneous, so (B + G)_(rho+1) = B_(rho+1) + G*m^rho:
     the containment in degree rho+1 is a question about this basis.
@@ -306,16 +309,49 @@ def monomial_covered(vectors: ReductionVectors, b: IdealPresentation, m: int) ->
 # system of parameters and reduction number
 
 
-def verify_sop(vectors: ReductionVectors, b: IdealPresentation) -> bool:
-    """True iff the forms cut the quotient down to dimension zero; the number
-    of forms must equal the quotient dimension."""
+def _facet_dimension(ext: ExtensionComplex, b: IdealPresentation, l: int) -> int:
+    """dim R/J_l, for J_l facet l's scroll minors plus every variable outside
+    the extended facet F_l-bar.
+
+    The minors are the generators of B supported in F_l-bar, taken from b
+    as they are: a non-face is no face of F_l-bar, and another facet's
+    minor holds one of that facet's points. They involve no variable
+    outside F_l-bar, so each of those cuts the dimension by exactly one.
+    """
     ring = b.ring
-    gb_b = groebner_basis(list(b.generators), ring)
-    dim = krull_dimension_lt(gb_b, ring)
-    if len(vectors.forms) != dim:
-        raise WrongCount(f"{len(vectors.forms)} forms for dimension {dim}")
+    inside = ext.extended_facet(l)
+    outside = [v for v in range(ext.nvars) if v not in inside]
+    mask = ring.support_mask(outside)
+    minors = [g for g in b.generators if not any(m & mask for m in g.terms)]
+    return krull_dimension_lt(groebner_basis(minors, ring), ring) - len(outside)
+
+
+def verify_sop(ext: ExtensionComplex, vectors: ReductionVectors, b: IdealPresentation) -> bool:
+    """True iff the linear forms G cut R/B down to dimension zero, for b the
+    binomial extension ideal B of ext; the number of forms must equal
+    dim R/B, else WrongCount.
+
+    GB(B) is not needed when B + G is zero-dimensional and some facet l has
+    dim R/J_l >= |G|: B is contained in every component J_l, so
+    dim R/B >= dim R/J_l, and Krull's principal ideal theorem gives
+    dim R/B <= |G| + dim R/(B + G) = |G| (Eisenbud, Commutative Algebra,
+    ch. 10), so dim R/B = |G|. Facet l is a largest one, unextended where
+    one is, as its component has no minors. Otherwise GB(B) decides, so
+    WrongCount and False are answered exactly as from the definition.
+    """
+    ring = b.ring
+    count = len(vectors.forms)
     gb_all = groebner_basis(list(b.generators) + list(vectors.forms), ring)
-    return krull_dimension_lt(gb_all, ring) == 0
+    zero_dim = krull_dimension_lt(gb_all, ring) == 0
+    if zero_dim:
+        facets = ext.base.facets
+        l = max(range(len(facets)), key=lambda k: (len(facets[k]), ext.is_trivial(k)))
+        if _facet_dimension(ext, b, l) >= count:
+            return True
+    dim = krull_dimension_lt(groebner_basis(list(b.generators), ring), ring)
+    if count != dim:
+        raise WrongCount(f"{count} forms for dimension {dim}")
+    return zero_dim
 
 
 class ReductionReport(
@@ -334,12 +370,13 @@ class ReductionReport(
 
 
 def reduction_number(
-    vectors: ReductionVectors, b: IdealPresentation, rho_max: int = 10
+    ext: ExtensionComplex, vectors: ReductionVectors, b: IdealPresentation, rho_max: int = 10
 ) -> ReductionReport:
-    """Smallest rho <= rho_max with the degree containment; requires SOP."""
+    """Smallest rho <= rho_max with the degree containment, for b the
+    binomial extension ideal of ext; requires SOP."""
     if rho_max < 1:
         raise ValueError(f"rho_max must be at least 1, got {rho_max}")
-    if not verify_sop(vectors, b):
+    if not verify_sop(ext, vectors, b):
         raise NotSOP("forms do not generate a zero-dimensional quotient with B")
     verdicts: list[tuple[int, bool]] = []
     witnesses: list[tuple[int, tuple[str, ...]]] = []
@@ -448,7 +485,7 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> Certificate:
         for l in range(len(base.facets))
     )
     try:
-        report = reduction_number(vectors, b, 1)
+        report = reduction_number(ext, vectors, b, 1)
     except NotSOP:
         raise HypothesisFailed("reduction vectors are not a system of parameters") from None
     if report.reduction_number != 1:
@@ -473,7 +510,7 @@ def fallback_reduction(ext: ExtensionComplex, ring: Ring, rho_max: int = 10) -> 
     try:
         vectors = reduction_vectors(col, ring)
         b = binomial_extension_ideal(ext, ring)
-        return Certificate(method, col, vectors, reduction_number(vectors, b, rho_max))
+        return Certificate(method, col, vectors, reduction_number(ext, vectors, b, rho_max))
     except REDUCTION_FAILURES as exc:
         return Certificate(method, col, vectors, None, failure=f"{type(exc).__name__}: {exc}")
 

@@ -13,13 +13,18 @@ from binomext import (
     ExtensionComplex,
     FacetExtension,
     Graph,
+    IdealPresentation,
     Polynomial,
     ProperStar,
+    ReductionVectors,
     SimplicialComplex,
     Vertex,
+    WrongCount,
     build_extension_complex,
+    buchberger,
     graph,
     is_proper_edge,
+    krull_dimension_lt,
     maximal_cliques,
     normal_form,
     validate_complex,
@@ -71,6 +76,18 @@ def proper_edge_stars(sc: SimplicialComplex) -> list[list[ProperStar]]:
 def ideal_membership(f: Polynomial, basis: list[Polynomial]) -> bool:
     """Whether f lies in the ideal of basis, a Groebner basis."""
     return normal_form(f, basis).is_zero()
+
+
+def sop_by_both_bases(vectors: ReductionVectors, b: IdealPresentation) -> bool:
+    """The system-of-parameters decision read off GB(B) and GB(B + G), with
+    no facet bound: WrongCount unless the number of forms is dim R/B, then
+    whether B + G is zero-dimensional."""
+    ring = b.ring
+    dim = krull_dimension_lt(buchberger(list(b.generators), ring), ring)
+    if len(vectors.forms) != dim:
+        raise WrongCount(f"{len(vectors.forms)} forms for dimension {dim}")
+    gb_all = buchberger(list(b.generators) + list(vectors.forms), ring)
+    return krull_dimension_lt(gb_all, ring) == 0
 
 
 def load_model(name: str) -> Model:

@@ -281,7 +281,7 @@ def test_gate_7_ten_variable_complex_numbers(capsys) -> None:
     )
     ok1, _ = degree_containment(vectors, ideal, 1)
     ok2, _ = degree_containment(vectors, ideal, 2)
-    rep = reduction_number(vectors, ideal, model.doc["options"]["rho_max"])
+    rep = reduction_number(model.ext, vectors, ideal, model.doc["options"]["rho_max"])
     rho_ok = (not ok1) and ok2 and rep.reduction_number == 2
     elapsed = time.monotonic() - started
     ok = numbers_ok and rho_ok
@@ -330,7 +330,7 @@ def test_gate_8_pointless_extensions_degenerate_to_nonface_ideals(capsys) -> Non
             failures.append(f"{label}: generators differ")
             continue
         col = dtree_coloration(ext)
-        rep = reduction_number(reduction_vectors(col, ring), ideal)
+        rep = reduction_number(ext, reduction_vectors(col, ring), ideal)
         if rep.reduction_number != 1:
             failures.append(f"{label}: rho {rep.reduction_number}")
     elapsed = time.monotonic() - started

@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 import binomext.extension as extension_module
 import binomext.oracle as oracle_module
 import binomext.reduce as reduce_module
-from binomext import DuplicatePointName, OrderMismatch, Ring, binomial_extension_ideal, color
+from binomext import (
+    DuplicatePointName,
+    OrderMismatch,
+    ReductionVectors,
+    Ring,
+    binomial_extension_ideal,
+    color,
+)
 from binomext.cli import (
     COMMANDS,
     EXIT_INPUT_ERROR,
@@ -625,6 +632,7 @@ def test_oracle_merges_into_another_command() -> None:
         "intersection",
         "dimensions",
         "rewriter",
+        "sop",
         "containment",
         "membership",
     }
@@ -648,6 +656,22 @@ def test_the_oracle_asks_once_per_monomial_it_counts(name: str, monkeypatch) -> 
     assert detail.startswith(f"{checked} monomials cross-checked")
     assert checked > 0 and len(calls) == checked
     assert report["oracle"]["diffs"] == []
+
+
+def test_a_system_of_parameters_of_the_wrong_size_is_a_sop_diff(monkeypatch) -> None:
+    # the check compares the accepted forms with the oracle's own dim R/B
+    fallback = oracle_module.fallback_reduction
+
+    def one_form_too_many(ext, ring, rho_max=10):
+        cert = fallback(ext, ring, rho_max)
+        forms = cert.vectors.forms
+        return cert._replace(vectors=ReductionVectors(forms + forms[:1]))
+
+    monkeypatch.setattr(oracle_module, "fallback_reduction", one_form_too_many)
+    report = run("oracle", parse_input(str(FIXTURES / "greduit.json")))
+    sop = {c["name"]: c for c in report["oracle"]["checks"]}["sop"]
+    assert sop == {"name": "sop", "ok": False, "detail": "5 forms for dimension 4"}
+    assert "sop" in report["oracle"]["diffs"]
 
 
 def test_a_rank_coverage_that_misses_a_monomial_is_a_containment_diff(monkeypatch) -> None:

@@ -30,7 +30,12 @@ one normal-form table per degree; neither change moved a byte. The
 and of no-coloration, whose B holds two cubic non-faces, were captured while
 reports were still printed by `json.dumps` and every non-face was named by
 `Ring.join_names`, before the chunk renderer and the pair naming replaced
-them.
+them. The plain `reduce` digests were taken again when `verify_sop` stopped
+computing GB(B) where one facet's component bounds dim R/B, which changes
+`s_pairs` and `normal_forms` in `timing` and nothing else (greduit's do not
+move: its one component is B). Every `oracle` and `--oracle` digest was taken
+again when the cross-checks gained `sop`, which adds that one entry to
+`checks` and nothing else; their `timing` did not move.
 """
 
 from __future__ import annotations
@@ -110,19 +115,19 @@ GOLDEN = {
     ("hilbert", "cycles_full"): "efa1054757e63035efd5716d0d833101e8fa0fb8e469efa5dbb22eb4560c1b15",
     ("hilbert", "strip3"): "d7c5b579b4dcbce1acc42228f8647955afc4f99ba8b8a5fffb6523d5b8de0ddd",
     ("reduce", "greduit"): "c307887177215bdc6a4d232861a4b19bbb39560a0474b4040e6edb08a2c4ace7",
-    ("reduce", "greduit1"): "872785b9468cf8ca316edf36ff2e97895986bb830adb2fbbb0ee57660bec3a3a",
-    ("reduce", "cycles_pair"): "58c51704f610c93b1d821b2a94fe061ba8af59829c5b854c3c0e3f91dcf8b9a2",
-    ("reduce", "cycles_full"): "70c936ba92b3976cf0b9e5b1cfffeaa98e6bb4ff421b7fdf93ad363f5919f8b9",
-    ("reduce", "strip3"): "40e6dcb827d46dccf2e622b0db224153e447d9e062127a5ffecdfaf1fd6489f7",
-    ("oracle", "greduit"): "2b7a0ce086818a4c44723b5324c8b07fc60df51ed5f95ac69ca424eed9ef1ca9",
-    ("oracle", "greduit1"): "9a010864bc7b612716903e4ff9de74faebbbb938ed5694d2a04fc799843f8245",
-    ("oracle", "cycles_pair"): "bb48b0c8d4881ecab627ed67436d8414f55cb0d6401032a27a1a2b45131edbf1",
-    ("oracle", "cycles_full"): "7a56504b96a0c66b9f3aa916729e7adee713b587ff4a7565a7158a7b47d5a6d8",
-    ("oracle", "strip3"): "2b49f7d511e02287e45e1ad1b59b367af512693f5e229f049353560858c9e0f1",
+    ("reduce", "greduit1"): "7c457b69a23556512cc4eedebc52f68a62ce3a5637788b0bfcc18ed9eed88e19",
+    ("reduce", "cycles_pair"): "3168de5ffff2651863dac68701fc63e259d114d323c096ae7c324de97863685d",
+    ("reduce", "cycles_full"): "95f5c6f51a8d9e38185052aa9922c65716465d328e3a8fb266a15833cfaef1f3",
+    ("reduce", "strip3"): "e117270a50c8d95e31fdf308fd0273033c0e99769617722ef45f973c86eaeb45",
+    ("oracle", "greduit"): "a0b48354828e06e624e1539b5576fe0e0a409ed6057bc9fdcc7ac36630101e1a",
+    ("oracle", "greduit1"): "2154344f8c9b27ba5b631c02789aaf825a411a835471de4f7b36e6c3cb0970ac",
+    ("oracle", "cycles_pair"): "fd2ef8cc0e22db38baef725a12a43a77cbe1f57e2e7515506cba9e0a194d5466",
+    ("oracle", "cycles_full"): "4338197075d83866e842d3874496b964f3784f15199cfe631424c1522fb541fc",
+    ("oracle", "strip3"): "a91369712652c0f68864f39d2318e78e7d66094f8274060c8bda5f7e8739b4fb",
     # a 4-ring of bare triangles: B is all monomials, the benchmark's
     # crosscheck tail op
-    ("reduce", "ring4-bare"): "eaa7eb9c202faa6700cc2e8e0d0f269c59ac938e7521fccb2976d8eda2366dbc",
-    ("oracle", "ring4-bare"): "88c2d0fbf42857decad9cc1b36564b3c095767e7822241bef6385e3ad43c5969",
+    ("reduce", "ring4-bare"): "31e351a91eb18c2af651a6afba140071fdce471255945869542d61b5e9bec915",
+    ("oracle", "ring4-bare"): "1c647b659f7f48091589496c3dd0225aee28302691f151aa90ecaec3dab7c973",
     # 120 facets, like the benchmark's combinatorics tail: B's 15,855
     # non-faces are all pairs
     ("validate", "dtree-2-120"): "ecca59fcc6db200d54358c579dc61f6774080648fa3ce8727b1979746de9f46c",
@@ -158,15 +163,15 @@ GOLDEN_VARIANTS = {
     ("reduce", "greduit", "lex"):
         "69d412c4811aefb15a47fd3eed8d789e9ec5ecef998e690fb274430b36568a0a",
     ("reduce", "cycles_pair", "lex"):
-        "32fb039b0573c71d8a38366c589265cc40f6e56be910d80a3cad61cdd507bb75",
+        "aff99ee70593c4ae02cb58f44665fec90b08c065ea97799d543dc1af4c091a58",
     ("reduce", "strip3", "lex"):
-        "49e81163d9d195b5654ebf922cbce1c779f44f6531b83b7bccc3eba3d39620e7",
+        "6314dd0fc0a88ca55287ddc027ba44551317065d61aa1085de96d7c81156a452",
     ("oracle", "greduit", "lex"):
-        "a4bdbd13c2e9d122b157a218d190677674f387a6d1f1dd85a125a52a040d4d27",
+        "b22a362c45c25236ec1ebbedb012157e33174ddce10438b1a1c2361acf4759b5",
     ("oracle", "cycles_pair", "lex"):
-        "9c2b7f7a6346c1df7b7936b4e2ef4c694b9f6c867fe00b5acc46aac47ae09b3a",
+        "b8b39bfbf47fae07569f06b1f1c7bd074872945b8c9a7ae16c43f3b2b8e23f37",
     ("oracle", "strip3", "lex"):
-        "83414411f86898626502f868791eed583f880e230982e4215ebcb27dbb696cb3",
+        "6b2f4bb2a0a7571d834650d36845d77490369ee787bc3ad08ee368cff0e1391b",
     ("decompose", "greduit", "deglex"):
         "aa31e13db0b4307a3d20138bf402953d716a86e9ce62e9f4e28e233e992ef569",
     ("decompose", "cycles_pair", "deglex"):
@@ -182,15 +187,15 @@ GOLDEN_VARIANTS = {
     ("reduce", "greduit", "deglex"):
         "f0e8caa628895a82cfc433c892bc1856136994d73b862e27a206b4bdf1bad2d0",
     ("reduce", "cycles_pair", "deglex"):
-        "770cba057c723fad6b25621db7fad365140f2bf93e645dd9baf2b5863e2967a9",
+        "10f7cbbc3551c3d9a44aa31c3407c63b817fc5592bae6e48bdf61e9b59b0c193",
     ("reduce", "strip3", "deglex"):
-        "63c4c6af53442e62bd84e6514dc240acbfde9384fbd5ab9c5ad9279bfda08049",
+        "36f7b7f9829d3b918543b1d7886b9aeba0d1edc19acf36b59499159b12e99b10",
     ("oracle", "greduit", "deglex"):
-        "41b71396308eb1fc5b583004babf161219aec6de60129216ecf55ca43792e59b",
+        "1706a55df0be7158438598481b95b3dcbb1beab8b8a35bd6251dcacf93e80e23",
     ("oracle", "cycles_pair", "deglex"):
-        "d4211feceade33b88f79f7ad30b99973a46e931ad4bdc03de3ab0a197eb8fa3a",
+        "a75badba9e21327750031ace66d62844e6164b39207269df32ae95624fcd6410",
     ("oracle", "strip3", "deglex"):
-        "545c827c9a4052a0e08ccce7687e395a8de463b885a192d516fb5fb2c2020096",
+        "03ffd67af5ef6d558ecd22d66009ef8b50c26bdfa0b5491a31d2554aec43c5e8",
     ("decompose", "greduit", "rational"):
         "7141ca8638b1a7694cb17a92d8a64d74ecec8fbd3ecb04b4e7e8bb7b03719be2",
     ("decompose", "cycles_pair", "rational"):
@@ -206,15 +211,15 @@ GOLDEN_VARIANTS = {
     ("reduce", "greduit", "rational"):
         "eec66983d78b48eac6f8bb2b7c9d1f74cd294f3841ea1894a31e32df59b9535e",
     ("reduce", "cycles_pair", "rational"):
-        "ed7f217f9c427d2561d0ee9cde633f305a1c36ee5c7abdb76253b88f48f9f21f",
+        "021fbfc579957115312fca7a73b150e160b631b91172273ca62fc8e37db93130",
     ("reduce", "strip3", "rational"):
-        "6f7b6229a37f64ccab125ce152d387f0541c224235a169a7591b2d7ef4c8bc70",
+        "294159dd99593ddd90467b62e5ab2ac1af072a6d9117848333c5d0a052acad79",
     ("oracle", "greduit", "rational"):
-        "cdd26350f6cfd5a527441bad123080002faa2e58751eae7b5140267a341fd5ab",
+        "fc45b8c917061724fb35f5c3065cf8a5496413f28a5b1f24debcd7408d60568a",
     ("oracle", "cycles_pair", "rational"):
-        "14477588682e497ee1200a2fe982b963e3de86fc7a734e9bc5ae85d76a8631eb",
+        "3d1f2374f8b885c4e14570a8e00889d3e361f9a80d9f882a230e125acd84e467",
     ("oracle", "strip3", "rational"):
-        "fa6732868629166b81196c6b33c7d2a23ef058442f3437a69e7e4cffcfb10120",
+        "5742fd55de2bd5922426ae32d3d29de0d43cb0613b113fe4e93f4eb4c6746ac6",
     ("ideal", "greduit", "lex"):
         "890cca36126df84596ccc8e9a3de94b326eb368d1130ec3d6515b7682d266cda",
     ("ideal", "greduit", "deglex"):
@@ -302,19 +307,19 @@ GOLDEN_VARIANTS = {
     ("reduce", "greduit", "large-prime"):
         "7275e67553a57e0311da3df2f20f572a7dd37c359a351774f7ccee3caec611e4",
     ("reduce", "cycles_pair", "large-prime"):
-        "0d1fa975d48dbc91608fc5e667ad0b48e5e56986e6b2c034e7a8b2f376c56834",
+        "d63bc93da43a94c584385105f1688972a38feb5e48f1f3de3c6640a3cef5dd46",
     ("reduce", "strip3", "large-prime"):
-        "e73d64a843c3c8039aed4b26735ed532f9027518e7e5fb89eb71979448165b0f",
+        "3d6afc4396a56fb77d9d10513680a076179215a16619f390dbb4540ed1416ab5",
     ("oracle", "greduit", "large-prime"):
-        "4419d3d55b28e13042a6fd5dbe441c069d2f241bd69825215f1ac553e1eb71a0",
+        "d3d4948508a20091bfcddecf13a98787002fe8fb887687095069a9ceea9e5994",
     ("oracle", "cycles_pair", "large-prime"):
-        "ad7fa5b39bf21146f297e8325eb212ef7c4991dccec9c89786db3ec9dae3dcd2",
+        "8468e68476a0a2959736c318ea7cf5324b3e9076231e69df3616af1764233391",
     ("oracle", "strip3", "large-prime"):
-        "2fa38254451befdf1452fd7072b5faacebf3acd6efb34edf29e4af783b66f71d",
+        "5d8b1e9392bb2a69c594e80a804bd0a6fbc39a0987185dc99fc991c01f2dceb9",
     ("reduce", "ring4-bare", "rational"):
-        "5be44cb3336b3b57660dad031de272c68cf8b450f2e8455d95a4233b5f00e184",
+        "f8cd2b356e0d54d935d8267ca0fd9246f0519342ce309f5b84c5edb06ef7dc9e",
     ("oracle", "ring4-bare", "rational"):
-        "9a5062c147884cb5d5fd375a092861e8596daf2ae0a94ed1b282ff5acc6b3175",
+        "32b63fd2edbd9505fbfb0bbec9a240430249daff2b3f3311beec669421e03b33",
 }
 
 
@@ -326,9 +331,9 @@ GOLDEN_VARIANTS = {
 # these reports from the theorem's exceptions and the fallback's tuple.
 GOLDEN_REDUCE_FALLBACKS = {
     ("no-coloration", False): "d89b449363618fb709b2ea5b5218a9cf7e592791d1f9583fdece183fc2d61dc1",
-    ("no-coloration", True): "a197a2107b0cb690c590a0c8859c80415917d1b7f1f80a8c7a3400e01f001c01",
+    ("no-coloration", True): "06922f5f2890f88aac077bbf794fbb9fde71b99b4b68c3d3b1da8d10e7ac2a3f",
     ("empty-class", False): "85f67bf2db4e7a37cea79cd806a53950517a3bd5e1dbf5185423d0e531a9ff05",
-    ("empty-class", True): "9121e56058ed4e641f2093f49aa42260f67de9e0062dc04f7bfcb1f6dde27e89",
+    ("empty-class", True): "d080c68397042e36f36c583aebae2bbc6d7bacd4454941f8b424afb1d2f376f2",
 }
 
 def report_digest(

@@ -382,7 +382,9 @@ def theirs_intersection(nvars: int, i_gens, j_gens, field, order: str) -> set:
     return _from_sympy(sympy.groebner(free, *xs, order=SYMPY_ORDER[order], **kw), field, order)
 
 
-@settings(max_examples=60, deadline=None)
+# derandomized: some draws keep sympy's lex elimination busy for minutes,
+# so the suite runs the same 60 draws every time
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(pair=ideal_pairs())
 @example(pair=LEX_INTERSECTION)
 def test_intersection_matches_sympy_elimination(pair) -> None:

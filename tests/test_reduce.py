@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binomext.poly as poly_module
 import binomext.reduce as reduce_module
 from binomext import (
     BothXVariables,
@@ -43,9 +44,11 @@ from binomext import (
     buchberger,
     build_extension_complex,
     certify,
+    component_ideals,
     degree_containment,
     dtree_coloration,
     facet_minors,
+    krull_dimension_lt,
     modB_normal_pair,
     monomial_covered,
     normal_form,
@@ -57,7 +60,7 @@ from binomext import (
     verify_main_theorem,
     verify_sop,
 )
-from binomext.cli import build_model, parse_document, run
+from binomext.cli import build_model, parse_document, parse_input, run
 from binomext.color import EmptyClass, find_coloration
 from binomext.oracle import rank_coverage
 from binomext.poly import counters
@@ -70,8 +73,9 @@ from conftest import (
     random_dtree_extension,
     random_scroll_extension,
     random_small_extension,
+    sop_by_both_bases,
 )
-from test_golden_counters import strip_document
+from test_golden_counters import DTREE, strip_document
 
 
 def vid(model, name: str) -> int:
@@ -249,29 +253,29 @@ def test_rewriter_sound_and_complete_on_random_scrolls() -> None:
 def test_sop_accepts_the_tetrahedron_vectors(greduit) -> None:
     b = binomial_extension_ideal(greduit.ext, greduit.ring)
     vecs = reduction_vectors(dtree_coloration(greduit.ext), greduit.ring)
-    assert verify_sop(vecs, b)
+    assert verify_sop(greduit.ext, vecs, b)
 
 
 def test_sop_wrong_count_is_reported(greduit) -> None:
     b = binomial_extension_ideal(greduit.ext, greduit.ring)
     vecs = reduction_vectors(dtree_coloration(greduit.ext), greduit.ring)
     with pytest.raises(WrongCount):
-        verify_sop(ReductionVectors(vecs.forms[:-1]), b)
+        verify_sop(greduit.ext, ReductionVectors(vecs.forms[:-1]), b)
 
 
 def test_sop_rejects_degenerate_forms(greduit) -> None:
     b = binomial_extension_ideal(greduit.ext, greduit.ring)
     bad = vectors_by_names(greduit, [{"a"}, {"b"}, {"c"}, {"d"}])
-    assert not verify_sop(bad, b)
+    assert not verify_sop(greduit.ext, bad, b)
     with pytest.raises(NotSOP):
-        reduction_number(bad, b)
+        reduction_number(greduit.ext, bad, b)
 
 
 def test_sop_over_the_rationals(cycles_pair) -> None:
     ring = cycles_pair.ext.ring(RationalField())
     b = binomial_extension_ideal(cycles_pair.ext, ring)
     col = dtree_coloration(cycles_pair.ext)
-    assert verify_sop(reduction_vectors(col, ring), b)
+    assert verify_sop(cycles_pair.ext, reduction_vectors(col, ring), b)
 
 
 def test_simplex_coordinates_are_parameters() -> None:
@@ -281,9 +285,100 @@ def test_simplex_coordinates_are_parameters() -> None:
     b = binomial_extension_ideal(ext, ring)
     assert b.generators == ()
     vecs = ReductionVectors(tuple(ring.var(i) for i in range(3)))
-    assert verify_sop(vecs, b)
-    report = reduction_number(vecs, b)
+    assert verify_sop(ext, vecs, b)
+    report = reduction_number(ext, vecs, b)
     assert report.reduction_number == 1
+
+
+SOP_FIELDS = (PrimeField(32003), RationalField(), PrimeField(2))
+SOP_ORDERS = ("degrevlex", "lex", "deglex")
+
+
+@pytest.mark.parametrize("order", SOP_ORDERS)
+@pytest.mark.parametrize("field", SOP_FIELDS, ids=lambda f: f.name)
+@settings(max_examples=15, deadline=None)
+@given(
+    make=st.sampled_from((random_small_extension, random_dtree_extension)),
+    seed=st.integers(0, 10_000),
+)
+def test_b_lies_in_every_facet_component(field, order, make, seed) -> None:
+    # the invariant that lets one facet's component bound dim R/B from below
+    ext = make(seed)
+    ring = ext.ring(field, order)
+    b = binomial_extension_ideal(ext, ring)
+    for l, comp in enumerate(component_ideals(ext, ring)):
+        gb = buchberger(list(comp.generators), ring)
+        for g in b.generators:
+            assert normal_form(g, gb).is_zero(), (comp.label, str(g))
+        assert reduce_module._facet_dimension(ext, b, l) == krull_dimension_lt(gb, ring)
+
+
+def _sop_outcome(decide, *args):
+    try:
+        return decide(*args)
+    except WrongCount as exc:
+        return f"WrongCount: {exc}"
+
+
+@pytest.mark.parametrize(
+    "field,order", list(zip(SOP_FIELDS, SOP_ORDERS)), ids=lambda x: getattr(x, "name", x)
+)
+def test_sop_decision_matches_the_gb_b_route(field, order) -> None:
+    # the coloration's forms, one dropped, one duplicated, and as many
+    # random variables as colors: True, NotSOP and WrongCount each occur
+    seen = set()
+    rng = random.Random(0)
+    exts = [random_small_extension(s) for s in range(40)]
+    exts += [random_dtree_extension(s) for s in range(30)]
+    for ext in exts:
+        ring = ext.ring(field, order)
+        b = binomial_extension_ideal(ext, ring)
+        col, _ = find_coloration(ext, require_good=False)
+        if col is None:
+            continue
+        try:
+            forms = reduction_vectors(col, ring).forms
+        except EmptyClass:
+            continue
+        picks = rng.sample(range(ring.nvars), min(len(forms), ring.nvars))
+        for variant in (
+            forms,
+            forms[:-1],
+            forms + forms[:1],
+            tuple(ring.var(v) for v in picks),
+        ):
+            vecs = ReductionVectors(variant)
+            with run_scope():
+                got = _sop_outcome(verify_sop, ext, vecs, b)
+            want = _sop_outcome(sop_by_both_bases, vecs, b)
+            assert got == want, (ext, [str(f) for f in variant])
+            if got is False:
+                with run_scope(), pytest.raises(NotSOP):
+                    reduction_number(ext, vecs, b)
+            seen.add(got if isinstance(got, bool) else "WrongCount")
+    assert seen == {True, False, "WrongCount"}
+
+
+def test_plain_reduce_on_a_dtree_computes_no_gb_of_b(monkeypatch) -> None:
+    # every largest facet of the 2-tree bounds dim R/B by 3, the number of
+    # colors, so GB(B + G) alone decides the system of parameters
+    doc = parse_input(str(DTREE))
+    model = build_model(doc)
+    b_gens = frozenset(binomial_extension_ideal(model.ext, model.ring).generators)
+    keys = []
+    memoized = poly_module.memoized
+
+    def recorded(key, compute):
+        keys.append(key)
+        return memoized(key, compute)
+
+    monkeypatch.setattr(poly_module, "memoized", recorded)
+    report = run("reduce", doc)
+    assert report["verdict"] is True
+    bases = [k[2] for k in keys if k[0] == "groebner"]
+    assert any(gens > b_gens for gens in bases)
+    assert b_gens not in bases
+    assert report["timing"]["s_pairs"] < run("hilbert", doc)["timing"]["s_pairs"]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +487,7 @@ def test_the_degree_table_matches_one_normal_form_per_monomial(order, field) -> 
 def test_reduction_number_one_on_the_tetrahedron(greduit) -> None:
     b = binomial_extension_ideal(greduit.ext, greduit.ring)
     vecs = reduction_vectors(dtree_coloration(greduit.ext), greduit.ring)
-    report = reduction_number(vecs, b)
+    report = reduction_number(greduit.ext, vecs, b)
     assert report.is_sop
     assert report.reduction_number == 1
     assert report.verdicts == ((1, True),)
@@ -407,7 +502,7 @@ def test_two_step_reduction_on_the_four_cycle_complex(cycles_full) -> None:
     assert not ok1 and missing
     ok2, _ = degree_containment(vecs, b, 2)
     assert ok2
-    report = reduction_number(vecs, b)
+    report = reduction_number(cycles_full.ext, vecs, b)
     assert report.reduction_number == 2
     assert report.verdicts == ((1, False), (2, True))
     assert len(report.witnesses) == 1 and report.witnesses[0][0] == 1
@@ -423,7 +518,7 @@ def test_two_step_reduction_on_the_four_cycle_complex(cycles_full) -> None:
 def test_reduction_bound_can_be_exhausted(cycles_full) -> None:
     b = binomial_extension_ideal(cycles_full.ext, cycles_full.ring)
     vecs = vectors_by_names(cycles_full, [{"a", "c", "d"}, {"b", "e"}, {"f", "v", "y"}])
-    report = reduction_number(vecs, b, rho_max=1)
+    report = reduction_number(cycles_full.ext, vecs, b, rho_max=1)
     assert report.reduction_number is None
     assert report.bound_exceeded
     assert report.verdicts == ((1, False),)
@@ -436,7 +531,7 @@ def test_reduction_number_rejects_a_bound_below_one(greduit, cycles_full) -> Non
         message = f"^rho_max must be at least 1, got {rho_max}$"
         with run_scope():
             with pytest.raises(ValueError, match=message):
-                reduction_number(vecs, b, rho_max)
+                reduction_number(greduit.ext, vecs, b, rho_max)
             # raised before any basis is computed
             assert not counters
         # the fallback passes its bound through
@@ -452,7 +547,7 @@ def test_reduction_number_rejects_a_bound_below_one(greduit, cycles_full) -> Non
         "vecs = reduction_vectors(dtree_coloration(m.ext), m.ring)\n"
         "for rho_max in (0, -3):\n"
         "    try:\n"
-        "        reduction_number(vecs, b, rho_max)\n"
+        "        reduction_number(m.ext, vecs, b, rho_max)\n"
         "    except ValueError as exc:\n"
         "        print(type(exc).__name__)\n"
     )
@@ -473,7 +568,7 @@ def test_the_fallback_finds_two_on_the_four_cycle_complex(cycles_full) -> None:
     assert (col, cert.method) == find_coloration(ext, require_good=False)
     assert cert.method == "search"
     assert vecs == reduction_vectors(col, ring)
-    assert report == reduction_number(vecs, b)
+    assert report == reduction_number(ext, vecs, b)
     assert report.reduction_number == 2
     assert report.verdicts == ((1, False), (2, True))
     assert cert.facet_conditions is None and cert.failure is None
@@ -681,7 +776,7 @@ def test_verifier_reports_a_failed_sop_as_a_hypothesis(greduit, monkeypatch) -> 
 
 
 def test_verifier_reports_uncovered_monomials_as_containment_failure(greduit, monkeypatch) -> None:
-    def uncovered(vectors, b, rho_max=10):
+    def uncovered(ext, vectors, b, rho_max=10):
         assert rho_max == 1
         return ReductionReport(vectors, True, ((1, False),), ((1, ("a*b", "c^2")),), None, True)
 
