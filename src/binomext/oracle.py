@@ -154,8 +154,8 @@ def cross_checks(model) -> tuple[bool, dict]:
 
     cert = fallback_reduction(ext, ring, rho_max)
     vectors, rep = cert.vectors, cert.reduction
-    # `verify_sop` accepts the forms without GB(B) when one facet's component
-    # bounds dim R/B; GB(B) confirms the count here
+    # `verify_sop` reads dim R/B off the complex as dim Delta + 1; this is
+    # the GB(B) side of that closed form
     if rep is None:
         record("sop", True, "skipped: the fallback certificate claims no system of parameters")
     else:

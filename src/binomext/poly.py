@@ -372,11 +372,6 @@ class Ring(_Frozen):
             raise MonomialOverflow(f"degree {len(var_ids)} exceeds {MAX_EXPONENT}")
         return sum(map(self._units.__getitem__, var_ids))
 
-    def support_mask(self, var_ids) -> int:
-        """The exponent fields of the listed variables: m & mask is zero
-        exactly when the packed monomial m holds none of them."""
-        return sum(_FIELD << self._shifts[v] for v in var_ids)
-
     def monomials_of_degree(self, degree: int) -> list[int]:
         """All packed products of `degree` variables, in the order of
         combinations_with_replacement over the variables."""

@@ -4,12 +4,11 @@ of m^(rho+1) in G*m^rho + B, the end-to-end verifier combining
 coloration, hypotheses, and containment, and `certify`, which returns the
 verifier's certificate or, when the theorem does not apply, the fallback's.
 
-Both questions are read off GB(B + G), the basis `verify_sop` computes
-first: whether the forms are a system of parameters from its leading
-monomials, with dim R/B bounded below by one facet's component (and GB(B)
-computed only when that bound leaves the count open), the containment from
-its standard monomials, and the containment's witnesses and single-monomial
-memberships from normal forms modulo it.
+Both questions are read off GB(B + G), the one basis plain `reduce` builds:
+whether the forms are a system of parameters from its leading monomials,
+their number checked against dim R/B, which the complex fixes, the
+containment from its standard monomials, and the containment's witnesses
+and single-monomial memberships from normal forms modulo it.
 """
 from __future__ import annotations
 
@@ -209,8 +208,8 @@ def modB_normal_pair(m: ScrollMatrix, u: int, v: int, ring: Ring) -> RewriteTrac
 
 
 def _basis_with_forms(vectors: ReductionVectors, b: IdealPresentation) -> list[Polynomial]:
-    """GB(B + G), from the run memo: `verify_sop` computes it first, as it
-    decides the system of parameters from it.
+    """GB(B + G), from the run memo: the one place that builds it, first
+    for `verify_sop`, then for the containment.
 
     G is linear and B homogeneous, so (B + G)_(rho+1) = B_(rho+1) + G*m^rho:
     the containment in degree rho+1 is a question about this basis.
@@ -309,49 +308,24 @@ def monomial_covered(vectors: ReductionVectors, b: IdealPresentation, m: int) ->
 # system of parameters and reduction number
 
 
-def _facet_dimension(ext: ExtensionComplex, b: IdealPresentation, l: int) -> int:
-    """dim R/J_l, for J_l facet l's scroll minors plus every variable outside
-    the extended facet F_l-bar.
-
-    The minors are the generators of B supported in F_l-bar, taken from b
-    as they are: a non-face is no face of F_l-bar, and another facet's
-    minor holds one of that facet's points. They involve no variable
-    outside F_l-bar, so each of those cuts the dimension by exactly one.
-    """
-    ring = b.ring
-    inside = ext.extended_facet(l)
-    outside = [v for v in range(ext.nvars) if v not in inside]
-    mask = ring.support_mask(outside)
-    minors = [g for g in b.generators if not any(m & mask for m in g.terms)]
-    return krull_dimension_lt(groebner_basis(minors, ring), ring) - len(outside)
-
-
 def verify_sop(ext: ExtensionComplex, vectors: ReductionVectors, b: IdealPresentation) -> bool:
     """True iff the linear forms G cut R/B down to dimension zero, for b the
     binomial extension ideal B of ext; the number of forms must equal
     dim R/B, else WrongCount.
 
-    GB(B) is not needed when B + G is zero-dimensional and some facet l has
-    dim R/J_l >= |G|: B is contained in every component J_l, so
-    dim R/B >= dim R/J_l, and Krull's principal ideal theorem gives
-    dim R/B <= |G| + dim R/(B + G) = |G| (Eisenbud, Commutative Algebra,
-    ch. 10), so dim R/B = |G|. Facet l is a largest one, unextended where
-    one is, as its component has no minors. Otherwise GB(B) decides, so
-    WrongCount and False are answered exactly as from the definition.
+    The complex fixes dim R/B = dim Delta + 1 over every field, so GB(B + G)
+    is the only basis computed. First, V(B) is the union of the V(J_l): B
+    holds every minimal non-face, so a point of V(B) is supported on a face
+    of the extended complex, inside some extended facet F_l-bar, and B holds
+    facet l's minors, so the point lies in V(J_l); conversely B lies in every
+    J_l. Second, J_l is a cone over a rational normal scroll with facet l's
+    other vertices free, so dim R/J_l = |F_l| (Eisenbud & Harris, "On
+    varieties of minimal degree", 1987), and dim R/B is the largest |F_l|.
     """
-    ring = b.ring
-    count = len(vectors.forms)
-    gb_all = groebner_basis(list(b.generators) + list(vectors.forms), ring)
-    zero_dim = krull_dimension_lt(gb_all, ring) == 0
-    if zero_dim:
-        facets = ext.base.facets
-        l = max(range(len(facets)), key=lambda k: (len(facets[k]), ext.is_trivial(k)))
-        if _facet_dimension(ext, b, l) >= count:
-            return True
-    dim = krull_dimension_lt(groebner_basis(list(b.generators), ring), ring)
+    count, dim = len(vectors.forms), ext.base.dim + 1
     if count != dim:
         raise WrongCount(f"{count} forms for dimension {dim}")
-    return zero_dim
+    return krull_dimension_lt(_basis_with_forms(vectors, b), b.ring) == 0
 
 
 class ReductionReport(

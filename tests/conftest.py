@@ -3,6 +3,7 @@ complex and ideal helpers that only the tests use."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from itertools import combinations
 from pathlib import Path
@@ -80,14 +81,23 @@ def ideal_membership(f: Polynomial, basis: list[Polynomial]) -> bool:
 
 def sop_by_both_bases(vectors: ReductionVectors, b: IdealPresentation) -> bool:
     """The system-of-parameters decision read off GB(B) and GB(B + G), with
-    no facet bound: WrongCount unless the number of forms is dim R/B, then
-    whether B + G is zero-dimensional."""
+    dim R/B computed, not read off the complex: WrongCount unless the number
+    of forms is dim R/B, then whether B + G is zero-dimensional."""
     ring = b.ring
     dim = krull_dimension_lt(buchberger(list(b.generators), ring), ring)
     if len(vectors.forms) != dim:
         raise WrongCount(f"{len(vectors.forms)} forms for dimension {dim}")
     gb_all = buchberger(list(b.generators) + list(vectors.forms), ring)
     return krull_dimension_lt(gb_all, ring) == 0
+
+
+def perfbench_dtree(d: int, nfacets: int, seed: int) -> dict:
+    """The document of the benchmark's `gen.dtree(d, nfacets, Random(seed))`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.dtree(d, nfacets, random.Random(seed))[0]
 
 
 def load_model(name: str) -> Model:

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import copy
 import errno
-import importlib.util
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +44,7 @@ from conftest import (
     ALL_FIXTURE_NAMES,
     FIXTURES,
     extension_document,
+    perfbench_dtree,
     random_dtree_extension,
     random_scroll_extension,
     random_small_extension,
@@ -412,14 +411,6 @@ def test_reduce_fallback_attempts_the_dtree_coloration_once(monkeypatch) -> None
     assert len(calls) == 1
 
 
-def _perfbench_dtree(d: int, nfacets: int, seed: int) -> dict:
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.dtree(d, nfacets, random.Random(seed))[0]
-
-
 @pytest.mark.parametrize(
     "name,command,with_oracle",
     [
@@ -438,7 +429,7 @@ def test_a_run_builds_the_binomial_extension_ideal_once(
     # read the one B the run built; on the d-tree the theorem fails after
     # its coloration is found
     if name.startswith("dtree"):
-        doc = parse_document(_perfbench_dtree(2, 6, 7))
+        doc = parse_document(perfbench_dtree(2, 6, 7))
     else:
         doc = parse_input(str(FIXTURES / f"{name}.json"))
     calls = []

@@ -35,7 +35,12 @@ computing GB(B) where one facet's component bounds dim R/B, which changes
 `s_pairs` and `normal_forms` in `timing` and nothing else (greduit's do not
 move: its one component is B). Every `oracle` and `--oracle` digest was taken
 again when the cross-checks gained `sop`, which adds that one entry to
-`checks` and nothing else; their `timing` did not move.
+`checks` and nothing else; their `timing` did not move. The plain `reduce`
+digests of greduit, greduit1, cycles_pair and strip3, and of greduit,
+cycles_pair and strip3 under the four variants, were taken again when
+`verify_sop` began to read dim R/B off the complex, so that a run builds
+GB(B + G) and no facet's minors: `normal_forms` and `s_pairs` in `timing`
+fall and nothing else changes; no `oracle` or `--oracle` digest moved.
 """
 
 from __future__ import annotations
@@ -114,11 +119,11 @@ GOLDEN = {
     ("hilbert", "cycles_pair"): "860841d401ada82c535dc0488203c75397e7e8659dbbc59b06ac9b801fb673c1",
     ("hilbert", "cycles_full"): "efa1054757e63035efd5716d0d833101e8fa0fb8e469efa5dbb22eb4560c1b15",
     ("hilbert", "strip3"): "d7c5b579b4dcbce1acc42228f8647955afc4f99ba8b8a5fffb6523d5b8de0ddd",
-    ("reduce", "greduit"): "c307887177215bdc6a4d232861a4b19bbb39560a0474b4040e6edb08a2c4ace7",
-    ("reduce", "greduit1"): "7c457b69a23556512cc4eedebc52f68a62ce3a5637788b0bfcc18ed9eed88e19",
-    ("reduce", "cycles_pair"): "3168de5ffff2651863dac68701fc63e259d114d323c096ae7c324de97863685d",
+    ("reduce", "greduit"): "b00aa736b50c36acdf611fd6f8155a349d7b3d58848717a59b372f288f40b4ec",
+    ("reduce", "greduit1"): "f4475b13356efc6f44ab974e814cbde219e3dcbfeaed7a418d242acaabe25f13",
+    ("reduce", "cycles_pair"): "bc0029a71d949b6ef71a29c3ef6978705dff5e83a926dd2b0773b18d21795735",
     ("reduce", "cycles_full"): "95f5c6f51a8d9e38185052aa9922c65716465d328e3a8fb266a15833cfaef1f3",
-    ("reduce", "strip3"): "e117270a50c8d95e31fdf308fd0273033c0e99769617722ef45f973c86eaeb45",
+    ("reduce", "strip3"): "150426151323b52de2c05d97362a4ad16b18b854121b231b761160db4de43780",
     ("oracle", "greduit"): "a0b48354828e06e624e1539b5576fe0e0a409ed6057bc9fdcc7ac36630101e1a",
     ("oracle", "greduit1"): "2154344f8c9b27ba5b631c02789aaf825a411a835471de4f7b36e6c3cb0970ac",
     ("oracle", "cycles_pair"): "fd2ef8cc0e22db38baef725a12a43a77cbe1f57e2e7515506cba9e0a194d5466",
@@ -161,11 +166,11 @@ GOLDEN_VARIANTS = {
     ("hilbert", "strip3", "lex"):
         "58cfa508501b4ee25f7c045b6636909a71974916c49a1b364c47014f3597059c",
     ("reduce", "greduit", "lex"):
-        "69d412c4811aefb15a47fd3eed8d789e9ec5ecef998e690fb274430b36568a0a",
+        "d72b26c553f9167454d38fc768024203e44f4f3d55601693c1e2fcd764d390a9",
     ("reduce", "cycles_pair", "lex"):
-        "aff99ee70593c4ae02cb58f44665fec90b08c065ea97799d543dc1af4c091a58",
+        "521174097f6b380f91465f50c902e6b7d98dd81bdbb5e0930fbb332513bb2392",
     ("reduce", "strip3", "lex"):
-        "6314dd0fc0a88ca55287ddc027ba44551317065d61aa1085de96d7c81156a452",
+        "39802655875ca30d3a6dc58ac3073b631d864fd3e4a95526dd762679a1413518",
     ("oracle", "greduit", "lex"):
         "b22a362c45c25236ec1ebbedb012157e33174ddce10438b1a1c2361acf4759b5",
     ("oracle", "cycles_pair", "lex"):
@@ -185,11 +190,11 @@ GOLDEN_VARIANTS = {
     ("hilbert", "strip3", "deglex"):
         "95628753f51bda28ac520f9b363408c2d587c3b35af6d1e0f2c9825b002cf5a1",
     ("reduce", "greduit", "deglex"):
-        "f0e8caa628895a82cfc433c892bc1856136994d73b862e27a206b4bdf1bad2d0",
+        "d0c89a3bee0e578cba81ada0c17f321788b4315fa1010d5ea709dcd84daa29db",
     ("reduce", "cycles_pair", "deglex"):
-        "10f7cbbc3551c3d9a44aa31c3407c63b817fc5592bae6e48bdf61e9b59b0c193",
+        "b5afac8861a2fb94a1701d4b3dc151a41a32875f8eaef6b2b5a952b8ad14f0d7",
     ("reduce", "strip3", "deglex"):
-        "36f7b7f9829d3b918543b1d7886b9aeba0d1edc19acf36b59499159b12e99b10",
+        "9b55f9c6fa69156e7164a9b8a46ab6b48fe14fa07d67c7b20d90728319de50ba",
     ("oracle", "greduit", "deglex"):
         "1706a55df0be7158438598481b95b3dcbb1beab8b8a35bd6251dcacf93e80e23",
     ("oracle", "cycles_pair", "deglex"):
@@ -209,11 +214,11 @@ GOLDEN_VARIANTS = {
     ("hilbert", "strip3", "rational"):
         "79cdfe332567f52c0dfd6d5a375f3fec81c5c17e91ca65d963ef51b4b3ed72b6",
     ("reduce", "greduit", "rational"):
-        "eec66983d78b48eac6f8bb2b7c9d1f74cd294f3841ea1894a31e32df59b9535e",
+        "9394b048b8dc482fac43575fc8a821b222b080f786eaeb45a2e30669b1d93bf3",
     ("reduce", "cycles_pair", "rational"):
-        "021fbfc579957115312fca7a73b150e160b631b91172273ca62fc8e37db93130",
+        "4564fba3cb4f83be85e02dd2cf247c3b8ef1ac349223e875139ade03f55fd138",
     ("reduce", "strip3", "rational"):
-        "294159dd99593ddd90467b62e5ab2ac1af072a6d9117848333c5d0a052acad79",
+        "bd2c8b0179c2b8af4bfd4308a7144e44d0489d1a7fc10c7ea24d28a6d7463a2f",
     ("oracle", "greduit", "rational"):
         "fc45b8c917061724fb35f5c3065cf8a5496413f28a5b1f24debcd7408d60568a",
     ("oracle", "cycles_pair", "rational"):
@@ -305,11 +310,11 @@ GOLDEN_VARIANTS = {
     ("hilbert", "strip3", "large-prime"):
         "9cad856058dd3ba45e42edcbd88f6bc243f44a0ba10ff7953ac326b0436d3807",
     ("reduce", "greduit", "large-prime"):
-        "7275e67553a57e0311da3df2f20f572a7dd37c359a351774f7ccee3caec611e4",
+        "9916cf459232d3b3d71879cd1885b57a085b1eae401f731385b4a4cc6ac0d3b0",
     ("reduce", "cycles_pair", "large-prime"):
-        "d63bc93da43a94c584385105f1688972a38feb5e48f1f3de3c6640a3cef5dd46",
+        "2b7398eb98890228509ea4943f32df94aae64914aec58ab47c14bd5cdf77eeda",
     ("reduce", "strip3", "large-prime"):
-        "3d6afc4396a56fb77d9d10513680a076179215a16619f390dbb4540ed1416ab5",
+        "2d2cc8df4911c99b94f67fce4ce72e508873274e442ed645929f62217293bec2",
     ("oracle", "greduit", "large-prime"):
         "d3d4948508a20091bfcddecf13a98787002fe8fb887687095069a9ceea9e5994",
     ("oracle", "cycles_pair", "large-prime"):

@@ -70,12 +70,15 @@ from conftest import (
     FIXTURES,
     load_model,
     extension_document,
+    perfbench_dtree,
     random_dtree_extension,
     random_scroll_extension,
     random_small_extension,
     sop_by_both_bases,
 )
 from test_golden_counters import DTREE, strip_document
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def vid(model, name: str) -> int:
@@ -298,11 +301,14 @@ SOP_ORDERS = ("degrevlex", "lex", "deglex")
 @pytest.mark.parametrize("field", SOP_FIELDS, ids=lambda f: f.name)
 @settings(max_examples=15, deadline=None)
 @given(
-    make=st.sampled_from((random_small_extension, random_dtree_extension)),
+    make=st.sampled_from(
+        (random_small_extension, random_dtree_extension, random_scroll_extension)
+    ),
     seed=st.integers(0, 10_000),
 )
 def test_b_lies_in_every_facet_component(field, order, make, seed) -> None:
-    # the invariant that lets one facet's component bound dim R/B from below
+    # the two facts behind `verify_sop`'s closed form: B lies in every J_l,
+    # dim R/J_l = |F_l|, and so dim R/B = dim Delta + 1
     ext = make(seed)
     ring = ext.ring(field, order)
     b = binomial_extension_ideal(ext, ring)
@@ -310,7 +316,9 @@ def test_b_lies_in_every_facet_component(field, order, make, seed) -> None:
         gb = buchberger(list(comp.generators), ring)
         for g in b.generators:
             assert normal_form(g, gb).is_zero(), (comp.label, str(g))
-        assert reduce_module._facet_dimension(ext, b, l) == krull_dimension_lt(gb, ring)
+        assert krull_dimension_lt(gb, ring) == len(ext.base.facets[l]), comp.label
+    gb_b = buchberger(list(b.generators), ring)
+    assert krull_dimension_lt(gb_b, ring) == ext.base.dim + 1
 
 
 def _sop_outcome(decide, *args):
@@ -359,12 +367,9 @@ def test_sop_decision_matches_the_gb_b_route(field, order) -> None:
     assert seen == {True, False, "WrongCount"}
 
 
-def test_plain_reduce_on_a_dtree_computes_no_gb_of_b(monkeypatch) -> None:
-    # every largest facet of the 2-tree bounds dim R/B by 3, the number of
-    # colors, so GB(B + G) alone decides the system of parameters
-    doc = parse_input(str(DTREE))
-    model = build_model(doc)
-    b_gens = frozenset(binomial_extension_ideal(model.ext, model.ring).generators)
+def _groebner_keys(monkeypatch, command: str, doc: dict) -> tuple[dict, list[frozenset]]:
+    """The report of command on doc, and the generator sets of every
+    Groebner basis the run asked the run memo for."""
     keys = []
     memoized = poly_module.memoized
 
@@ -373,12 +378,48 @@ def test_plain_reduce_on_a_dtree_computes_no_gb_of_b(monkeypatch) -> None:
         return memoized(key, compute)
 
     monkeypatch.setattr(poly_module, "memoized", recorded)
-    report = run("reduce", doc)
+    return run(command, doc), [k[2] for k in keys if k[0] == "groebner"]
+
+
+def _b_generators(doc: dict) -> frozenset:
+    model = build_model(doc)
+    return frozenset(binomial_extension_ideal(model.ext, model.ring).generators)
+
+
+def test_plain_reduce_on_a_dtree_computes_no_gb_of_b(monkeypatch) -> None:
+    # the complex gives dim R/B = 3, the number of colors, so GB(B + G)
+    # alone decides the system of parameters
+    doc = parse_input(str(DTREE))
+    report, bases = _groebner_keys(monkeypatch, "reduce", doc)
     assert report["verdict"] is True
-    bases = [k[2] for k in keys if k[0] == "groebner"]
+    b_gens = _b_generators(doc)
     assert any(gens > b_gens for gens in bases)
     assert b_gens not in bases
     assert report["timing"]["s_pairs"] < run("hilbert", doc)["timing"]["s_pairs"]
+
+
+def test_plain_reduce_computes_no_gb_of_b_when_the_forms_are_no_sop(monkeypatch) -> None:
+    # GB(B + G) is not zero-dimensional here, and the count needs no GB(B)
+    doc = parse_document(perfbench_dtree(2, 8, 6))
+    report, bases = _groebner_keys(monkeypatch, "reduce", doc)
+    assert report["verdict"] is False
+    failure = report["reduction"]["failure"]
+    assert failure.endswith("; then NotSOP: forms do not generate a zero-dimensional quotient with B")
+    b_gens = _b_generators(doc)
+    assert bases and all(gens > b_gens for gens in bases)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(FIXTURES.glob("*.json"))
+    + sorted(p for p in DATA.glob("*.json") if p.stem != "dtree-2-120"),
+    ids=lambda p: p.stem,
+)
+def test_plain_reduce_asks_the_memo_for_no_gb_of_b(monkeypatch, path) -> None:
+    # dtree-2-120 is left out: GB(B + G) there takes about 45 s
+    doc = parse_input(str(path))
+    _, bases = _groebner_keys(monkeypatch, "reduce", doc)
+    assert _b_generators(doc) not in bases
 
 
 # ---------------------------------------------------------------------------
