@@ -23,8 +23,7 @@ from .color import (
     is_good_coloration,
 )
 from .complexes import (
-    DuplicateVertexInFacet,
-    EmptyFacet,
+    InputError,
     ProperStar,
     is_generalized_d_tree,
     skeleton_graph,
@@ -32,13 +31,8 @@ from .complexes import (
     validate_complex,
 )
 from .extension import (
-    DuplicatePointName,
     ExtensionComplex,
-    FacetExtendedTwice,
     FacetExtension,
-    FacetOutOfRange,
-    NotAProperEdge,
-    OriginMismatch,
     binomial_extension_generators,
     binomial_extension_ideal,
     build_extension_complex,
@@ -62,22 +56,11 @@ EXIT_VERDICT_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
-INPUT_ERRORS = (
-    EmptyFacet,
-    DuplicateVertexInFacet,
-    NotAProperEdge,
-    OriginMismatch,
-    DuplicatePointName,
-    FacetOutOfRange,
-    FacetExtendedTwice,
-)
-
-
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """Input document violates the expected structure."""
 
 
-class UnknownName(ValueError):
+class UnknownName(InputError):
     """A vertex name in the document does not resolve."""
 
 
@@ -277,7 +260,7 @@ def _coloration_section(ext: ExtensionComplex, col: Coloration | None, method: s
             "classes": None,
             "binomial_ok": False,
             "good_on_g_prime": False,
-            "diagnostics": ["no coloration satisfies the binomial conditions"],
+            "diagnostics": ["no coloration satisfies the binomial conditions and is good on G'"],
         }
     names = ext.var_names
     ok, diagnostics = is_binomial_coloration(ext, col)
@@ -746,7 +729,7 @@ def main(argv: list[str] | None = None) -> int:
         if args["seed"] is not None:
             data["options"]["seed"] = args["seed"]
         report = run(args["command"], parse_document(data), with_oracle=args["oracle"])
-    except (SchemaError, UnknownName, *INPUT_ERRORS) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # pragma: no cover - defensive

@@ -9,11 +9,17 @@ from itertools import combinations
 from operator import and_
 
 
-class EmptyFacet(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed or inconsistent document, complex or extension.
+    Each such error subclasses it where it is raised; `cli.main` prints the
+    message and exits 2."""
+
+
+class EmptyFacet(InputError):
     """A facet with no vertices was supplied."""
 
 
-class DuplicateVertexInFacet(ValueError):
+class DuplicateVertexInFacet(InputError):
     """A facet names the same vertex twice."""
 
 

@@ -11,6 +11,7 @@ from itertools import combinations
 
 from .complexes import (
     Graph,
+    InputError,
     ProperStar,
     SimplicialComplex,
     Vertex,
@@ -22,23 +23,23 @@ from .complexes import (
 from .poly import MonomialOrder, Polynomial, Ring, memoized
 
 
-class NotAProperEdge(ValueError):
+class NotAProperEdge(InputError):
     """A declared extension edge also lies in another facet."""
 
 
-class OriginMismatch(ValueError):
+class OriginMismatch(InputError):
     """Origin/target ids do not form edges of the declared facet."""
 
 
-class DuplicatePointName(ValueError):
+class DuplicatePointName(InputError):
     """A new point name collides with a vertex or another point."""
 
 
-class FacetOutOfRange(ValueError):
+class FacetOutOfRange(InputError):
     """An extension names a facet index the base complex does not have."""
 
 
-class FacetExtendedTwice(ValueError):
+class FacetExtendedTwice(InputError):
     """Two extensions name the same facet."""
 
 
@@ -222,13 +223,15 @@ def column_minor(m: ScrollMatrix, ring: Ring, c1: int, c2: int) -> Polynomial:
 
 
 def scroll_minors(m: ScrollMatrix, ring: Ring) -> list[Polynomial]:
-    """All 2x2 determinants over column pairs, in lexicographic pair order."""
-    out: list[Polynomial] = []
-    for c1, c2 in combinations(range(len(m.columns)), 2):
-        p = column_minor(m, ring, c1, c2)
-        if p not in out:
-            out.append(p)
-    return out
+    """All C(k, 2) 2x2 determinants of the k columns, in lexicographic pair
+    order, with no de-duplication: they are pairwise distinct and nonzero.
+    Every entry of a facet's matrix is a distinct variable (the targets are
+    distinct and differ from the origin, and the points are fresh), so in
+    the blocks' run order the first and the last variable of the minor
+    t1*b2 - b1*t2 of columns c1 < c2 are t1 and b2, which lie in one term
+    and name c1 and c2."""
+    pairs = combinations(range(len(m.columns)), 2)
+    return [column_minor(m, ring, c1, c2) for c1, c2 in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +275,13 @@ def component_ideals(ext: ExtensionComplex, ring: Ring) -> list[IdealPresentatio
 def binomial_extension_generators(
     ext: ExtensionComplex, ring: Ring
 ) -> tuple[list[Polynomial], list[tuple[int, ...]]]:
-    """B's generators in two parts: every facet's scroll minors, each kept
-    at its first occurrence, then the minimal non-faces of the extended
-    complex as sorted vertex-id tuples (square-free monomials, unpacked)."""
-    minors = (p for l in range(len(ext.base.facets)) for p in facet_minors(ext, ring, l))
-    return list(dict.fromkeys(minors)), stanley_reisner_generators(ext.extended_complex())
+    """B's generators in two parts: every facet's scroll minors, then the
+    minimal non-faces of the extended complex as sorted vertex-id tuples
+    (square-free monomials, unpacked). No minor repeats: each facet's are
+    distinct (`scroll_minors`), and each holds a point of its own facet,
+    since only a matrix's first column can lack one."""
+    minors = [p for l in range(len(ext.base.facets)) for p in facet_minors(ext, ring, l)]
+    return minors, stanley_reisner_generators(ext.extended_complex())
 
 
 def binomial_extension_ideal(ext: ExtensionComplex, ring: Ring) -> IdealPresentation:

@@ -68,7 +68,7 @@ class NoSlide(RuntimeError):
 
 
 class NoColorationFound(RuntimeError):
-    """No coloration satisfying the binomial conditions exists."""
+    """No coloration satisfies the binomial conditions and is good on G'."""
 
 
 class HypothesisFailed(RuntimeError):
@@ -79,7 +79,7 @@ class ContainmentFailed(RuntimeError):
     """Degree-2 containment fails; arguments carry uncovered monomials."""
 
 
-# The ways the main theorem can fail to apply: no binomial coloration, a
+# The ways the main theorem can fail to apply: no good binomial coloration, a
 # violated hypothesis, or an uncovered degree-2 monomial.
 THEOREM_FAILURES = (NoColorationFound, HypothesisFailed, ContainmentFailed)
 
@@ -446,7 +446,7 @@ def verify_main_theorem(ext: ExtensionComplex, ring: Ring) -> Certificate:
     base = ext.base
     col, method = find_coloration(ext)
     if col is None:
-        raise NoColorationFound("no binomial coloration exists")
+        raise NoColorationFound("no good binomial coloration exists")
     try:
         vectors = reduction_vectors(col, ring)
     except EmptyClass as exc:

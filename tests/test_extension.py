@@ -8,20 +8,29 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import binomext.cli as cli_module
 from binomext import (
     DuplicatePointName,
+    DuplicateVertexInFacet,
     EmptyExtension,
+    EmptyFacet,
     FacetExtendedTwice,
     FacetExtension,
     FacetOutOfRange,
     FacetRoles,
+    InputError,
+    MonomialOverflow,
     NotAProperEdge,
+    OrderMismatch,
     OriginMismatch,
     ProperStar,
     PrimeField,
     RationalField,
     ScrollBlock,
+    binomial_extension_generators,
     binomial_extension_ideal,
     build_extension_complex,
     buchberger,
@@ -37,12 +46,14 @@ from binomext import (
     stanley_reisner_generators,
     validate_complex,
 )
-from binomext.cli import INPUT_ERRORS
+from binomext.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, SchemaError, UnknownName, main
 from conftest import (
     ALL_FIXTURE_NAMES,
+    FIXTURES,
     ideal_membership,
     load_model,
     random_dtree_extension,
+    random_scroll_extension,
     random_small_extension,
 )
 
@@ -84,8 +95,40 @@ def test_facet_is_extended_at_most_once() -> None:
 
 
 def test_construction_errors_are_input_errors() -> None:
-    assert FacetOutOfRange in INPUT_ERRORS
-    assert FacetExtendedTwice in INPUT_ERRORS
+    assert issubclass(FacetOutOfRange, InputError)
+    assert issubclass(FacetExtendedTwice, InputError)
+
+
+BAD_INPUT = (
+    EmptyFacet,
+    DuplicateVertexInFacet,
+    NotAProperEdge,
+    OriginMismatch,
+    DuplicatePointName,
+    FacetOutOfRange,
+    FacetExtendedTwice,
+    SchemaError,
+    UnknownName,
+)
+ENGINE_ERRORS = (EmptyExtension, MonomialOverflow, OrderMismatch)
+
+
+@pytest.mark.parametrize("error", BAD_INPUT + ENGINE_ERRORS, ids=lambda e: e.__name__)
+def test_main_exits_by_the_error_class(error, monkeypatch, capsys) -> None:
+    # an input error exits 2 with its message; the engine's own errors are
+    # faults of the program, not of the document, and exit 3
+    def raise_it(data):
+        raise error("bad")
+
+    monkeypatch.setattr(cli_module, "parse_document", raise_it)
+    code = main(["validate", "--input", str(FIXTURES / "greduit.json")])
+    err = capsys.readouterr().err
+    if error in BAD_INPUT:
+        assert issubclass(error, InputError)
+        assert (code, err) == (EXIT_INPUT_ERROR, "error: bad\n")
+    else:
+        assert not issubclass(error, InputError)
+        assert (code, err) == (EXIT_INTERNAL_ERROR, f"internal error: {error.__name__}: bad\n")
 
 
 def test_construction_errors_survive_optimized_mode() -> None:
@@ -238,6 +281,65 @@ def test_minor_count_matches_column_pairs(greduit) -> None:
     minors = scroll_minors(m, greduit.ring)
     c = len(m.columns)
     assert len(minors) == c * (c - 1) // 2
+
+
+def _support(p) -> set[int]:
+    ring = p.ring
+    return {v for mono in p.terms for v, e in enumerate(ring.exponents(mono)) if e}
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), PrimeField(2)], ids=lambda f: f.name)
+@settings(max_examples=40, deadline=None)
+@given(
+    make=st.sampled_from(
+        (random_small_extension, random_dtree_extension, random_scroll_extension)
+    ),
+    seed=st.integers(0, 10_000),
+)
+def test_minors_need_no_deduplication(field, make, seed) -> None:
+    # the matrix entries are distinct variables, so the C(k, 2) minors of
+    # a facet are distinct and nonzero, over GF(2) too, where a minor's two
+    # terms have the same sign; each holds a point of its own facet, so no
+    # two facets share one
+    ext = make(seed)
+    ring = ext.ring(field)
+    for l in range(len(ext.base.facets)):
+        if ext.is_trivial(l):
+            continue
+        m = scroll_matrix(ext, l)
+        minors = scroll_minors(m, ring)
+        k = len(m.columns)
+        assert len(minors) == k * (k - 1) // 2
+        assert len(set(minors)) == len(minors)
+        assert not any(p.is_zero() for p in minors)
+        points = set(ext.facet_points(l))
+        assert all(_support(p) & points for p in minors)
+    minors, _ = binomial_extension_generators(ext, ring)
+    assert len(set(minors)) == len(minors)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), PrimeField(2)], ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(
+    make=st.sampled_from(
+        (random_small_extension, random_dtree_extension, random_scroll_extension)
+    ),
+    seed=st.integers(0, 10_000),
+)
+def test_component_basis_is_the_minors_basis_and_the_outside_variables(
+    field, make, seed
+) -> None:
+    # the minors use only the extended facet's variables, so a polynomial in
+    # those lies in J_l exactly when it lies in the ideal of the minors: the
+    # oracle's rewriter check reads GB(J_l) for that reason
+    ext = make(seed)
+    ring = ext.ring(field)
+    for l, comp in enumerate(component_ideals(ext, ring)):
+        if ext.is_trivial(l):
+            continue
+        outside = [ring.var(v) for v in range(ext.nvars) if v not in ext.extended_facet(l)]
+        want = set(buchberger(facet_minors(ext, ring, l), ring)) | set(outside)
+        assert set(buchberger(list(comp.generators), ring)) == want, comp.label
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,16 @@ digests of greduit, greduit1, cycles_pair and strip3, and of greduit,
 cycles_pair and strip3 under the four variants, were taken again when
 `verify_sop` began to read dim R/B off the complex, so that a run builds
 GB(B + G) and no facet's minors: `normal_forms` and `s_pairs` in `timing`
-fall and nothing else changes; no `oracle` or `--oracle` digest moved.
+fall and nothing else changes; no `oracle` or `--oracle` digest moved. The
+`oracle` digests of greduit1, cycles_pair, cycles_full and strip3, under
+every variant pinned, and the no-coloration `--oracle` digest were taken
+again when the rewriter check began to read GB(J_l) instead of a basis of
+one facet's minors alone: `normal_forms` and `s_pairs` in `timing` fall and
+nothing else changes (greduit's do not move: its minors are B). The `color`
+digests of cycles_full and no-coloration, the `reduce` digest of cycles_full
+and both no-coloration `reduce` digests were taken again when two messages
+began to say that the coloration sought is good on G' ("no good binomial
+coloration exists", and "... and is good on G'"); nothing else moved.
 """
 
 from __future__ import annotations
@@ -102,7 +111,7 @@ GOLDEN = {
     ("color", "cycles_pair"): "d5a3240e44a52880753e106739fee64e6b565edb50172d586a50b52ba6676d4f",
     ("validate", "cycles_full"): "5d3a5f092ea41b43ff2ef2beb00aa1c371ea943cc5ee710f574ff1cba7291dfc",
     ("ideal", "cycles_full"): "09df7d292b558753e27c25da017d7d208ac3bf6831be2bcf7b6f1f9de2bb42ce",
-    ("color", "cycles_full"): "380538a22e899cdac4dc9208225b397782d62e931bfdd3a453b68632ebc33428",
+    ("color", "cycles_full"): "33ac6185a02129d063914935a453e0350f0577435d6fe5e37b87e7b97f1ba322",
     ("validate", "strip3"): "5d30a2361c211f9d4c626f49f0797307898c17d10ded17ff972372e0eb3c4b43",
     ("ideal", "strip3"): "349f164c125eadaad31bc0e1f2426935010adb6538317555303c154b8dfeb207",
     ("color", "strip3"): "dc4491108502ea96a0df796dd5e0f3e4b090716edd3a179c8ac1bc5039c29314",
@@ -122,13 +131,13 @@ GOLDEN = {
     ("reduce", "greduit"): "b00aa736b50c36acdf611fd6f8155a349d7b3d58848717a59b372f288f40b4ec",
     ("reduce", "greduit1"): "f4475b13356efc6f44ab974e814cbde219e3dcbfeaed7a418d242acaabe25f13",
     ("reduce", "cycles_pair"): "bc0029a71d949b6ef71a29c3ef6978705dff5e83a926dd2b0773b18d21795735",
-    ("reduce", "cycles_full"): "95f5c6f51a8d9e38185052aa9922c65716465d328e3a8fb266a15833cfaef1f3",
+    ("reduce", "cycles_full"): "c710eed61c1c85375580882a42567b82b7ca854ecc16f78158506424e1e39ef0",
     ("reduce", "strip3"): "150426151323b52de2c05d97362a4ad16b18b854121b231b761160db4de43780",
     ("oracle", "greduit"): "a0b48354828e06e624e1539b5576fe0e0a409ed6057bc9fdcc7ac36630101e1a",
-    ("oracle", "greduit1"): "2154344f8c9b27ba5b631c02789aaf825a411a835471de4f7b36e6c3cb0970ac",
-    ("oracle", "cycles_pair"): "fd2ef8cc0e22db38baef725a12a43a77cbe1f57e2e7515506cba9e0a194d5466",
-    ("oracle", "cycles_full"): "4338197075d83866e842d3874496b964f3784f15199cfe631424c1522fb541fc",
-    ("oracle", "strip3"): "a91369712652c0f68864f39d2318e78e7d66094f8274060c8bda5f7e8739b4fb",
+    ("oracle", "greduit1"): "449dcf697e4c44380f19fad888d797f96faa6d0afc58741bb279cf32bd021613",
+    ("oracle", "cycles_pair"): "a42682d6b921cf475243837a170f96ec9e2f99e984ae2cc40582afe17e84e8dc",
+    ("oracle", "cycles_full"): "c406fe1a210c797f33dbce9a8185961dbb819a083fb220cfeac371730c77d3ee",
+    ("oracle", "strip3"): "3f905f8e81edd964db336a15dfecf05df9f335707bee2c0223df01f65125c768",
     # a 4-ring of bare triangles: B is all monomials, the benchmark's
     # crosscheck tail op
     ("reduce", "ring4-bare"): "31e351a91eb18c2af651a6afba140071fdce471255945869542d61b5e9bec915",
@@ -141,7 +150,7 @@ GOLDEN = {
     # B ends in two cubic non-faces, named by Ring.join_names
     ("validate", "no-coloration"): "7580a8698c96e8efde3734f08bc2167058855b8d2e1986014805c3cd68ea964c",
     ("ideal", "no-coloration"): "60b61a7772870c8d58cefb4aa33fbb5247657ac3ca0c8718ec4baeae871671c4",
-    ("color", "no-coloration"): "fdf164d09c044fe98e58d037878d5c29922a4904e25bafddd79804baa23047c6",
+    ("color", "no-coloration"): "1c02db66e2c71e582560a8ce91c3f31d202cb4a2a0a9efcba07a79d057a88742",
 }
 
 
@@ -174,9 +183,9 @@ GOLDEN_VARIANTS = {
     ("oracle", "greduit", "lex"):
         "b22a362c45c25236ec1ebbedb012157e33174ddce10438b1a1c2361acf4759b5",
     ("oracle", "cycles_pair", "lex"):
-        "b8b39bfbf47fae07569f06b1f1c7bd074872945b8c9a7ae16c43f3b2b8e23f37",
+        "ecaa9e18be8e6ca24bb0a50ad50ff0e488d799632c1d991f48ffc5ce947e6f87",
     ("oracle", "strip3", "lex"):
-        "6b2f4bb2a0a7571d834650d36845d77490369ee787bc3ad08ee368cff0e1391b",
+        "d36fbbb93bbabe03851665143f2ed0095e1c2279477be37d083cb15eebfeda81",
     ("decompose", "greduit", "deglex"):
         "aa31e13db0b4307a3d20138bf402953d716a86e9ce62e9f4e28e233e992ef569",
     ("decompose", "cycles_pair", "deglex"):
@@ -198,9 +207,9 @@ GOLDEN_VARIANTS = {
     ("oracle", "greduit", "deglex"):
         "1706a55df0be7158438598481b95b3dcbb1beab8b8a35bd6251dcacf93e80e23",
     ("oracle", "cycles_pair", "deglex"):
-        "a75badba9e21327750031ace66d62844e6164b39207269df32ae95624fcd6410",
+        "5e24c67c78f719d43b544032a00193d4d774a1c71bcaac88384a076a6b7dc4ff",
     ("oracle", "strip3", "deglex"):
-        "03ffd67af5ef6d558ecd22d66009ef8b50c26bdfa0b5491a31d2554aec43c5e8",
+        "7d3eb20dc2d49433a6e991743dc12640cac9755cb834bca5800b45e09ffee481",
     ("decompose", "greduit", "rational"):
         "7141ca8638b1a7694cb17a92d8a64d74ecec8fbd3ecb04b4e7e8bb7b03719be2",
     ("decompose", "cycles_pair", "rational"):
@@ -222,9 +231,9 @@ GOLDEN_VARIANTS = {
     ("oracle", "greduit", "rational"):
         "fc45b8c917061724fb35f5c3065cf8a5496413f28a5b1f24debcd7408d60568a",
     ("oracle", "cycles_pair", "rational"):
-        "3d1f2374f8b885c4e14570a8e00889d3e361f9a80d9f882a230e125acd84e467",
+        "dd96710675d6781cf47f226c964c7bd9ca078e11d3201232da92c193a05d704b",
     ("oracle", "strip3", "rational"):
-        "5742fd55de2bd5922426ae32d3d29de0d43cb0613b113fe4e93f4eb4c6746ac6",
+        "bbd5aa3d60a2a197b440f8fe10943846f3ffc3d988826662d86941c667533be8",
     ("ideal", "greduit", "lex"):
         "890cca36126df84596ccc8e9a3de94b326eb368d1130ec3d6515b7682d266cda",
     ("ideal", "greduit", "deglex"):
@@ -318,9 +327,9 @@ GOLDEN_VARIANTS = {
     ("oracle", "greduit", "large-prime"):
         "d3d4948508a20091bfcddecf13a98787002fe8fb887687095069a9ceea9e5994",
     ("oracle", "cycles_pair", "large-prime"):
-        "8468e68476a0a2959736c318ea7cf5324b3e9076231e69df3616af1764233391",
+        "196664c85d674b92a812ba739ef419ce34bd756d91d28f09665618e61c139e1d",
     ("oracle", "strip3", "large-prime"):
-        "5d8b1e9392bb2a69c594e80a804bd0a6fbc39a0987185dc99fc991c01f2dceb9",
+        "5aef5a4706757b6ded99ab9e3cd6551b7505b5ebe688dea3ccf08dd3013c6bd7",
     ("reduce", "ring4-bare", "rational"):
         "f8cd2b356e0d54d935d8267ca0fd9246f0519342ce309f5b84c5edb06ef7dc9e",
     ("oracle", "ring4-bare", "rational"):
@@ -329,14 +338,15 @@ GOLDEN_VARIANTS = {
 
 
 # The two `reduce` outcomes in which the theorem does not apply and the
-# fallback stops too: no binomial coloration exists (the report prints a null
+# fallback stops too: no binomial coloration exists, good on G' or not (the
+# failure says no good one exists, and the report prints a null
 # coloration), and the coloration leaves a class empty (the failure names the
 # theorem's failure, then the fallback's). Each is pinned alone and with the
 # oracle's cross-checks; the digests were captured while `cli` still composed
 # these reports from the theorem's exceptions and the fallback's tuple.
 GOLDEN_REDUCE_FALLBACKS = {
-    ("no-coloration", False): "d89b449363618fb709b2ea5b5218a9cf7e592791d1f9583fdece183fc2d61dc1",
-    ("no-coloration", True): "06922f5f2890f88aac077bbf794fbb9fde71b99b4b68c3d3b1da8d10e7ac2a3f",
+    ("no-coloration", False): "db52387edf241e63d2d568944ddf963c3cd82b38fc2891262c1c735aec1e02aa",
+    ("no-coloration", True): "896c800c057e462e56f71a36528c2c017bd08e93ed6da67ba4f05b6d037ca5f4",
     ("empty-class", False): "85f67bf2db4e7a37cea79cd806a53950517a3bd5e1dbf5185423d0e531a9ff05",
     ("empty-class", True): "d080c68397042e36f36c583aebae2bbc6d7bacd4454941f8b424afb1d2f376f2",
 }
@@ -408,4 +418,4 @@ def test_the_committed_no_coloration_document_is_the_generated_one() -> None:
     assert data == extension_document(random_small_extension(155))
     report = run("reduce", parse_document(data))
     assert report["coloration"] is None
-    assert report["reduction"]["failure"] == "NoColorationFound: no binomial coloration exists"
+    assert report["reduction"]["failure"] == "NoColorationFound: no good binomial coloration exists"

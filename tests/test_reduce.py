@@ -238,6 +238,8 @@ def test_rewriter_sound_and_complete_on_random_scrolls() -> None:
         ext = random_scroll_extension(seed)
         ring = ext.ring(PrimeField(32003))
         gb = buchberger(facet_minors(ext, ring, 0), ring)
+        # the oracle checks each trace against GB(J_l) instead
+        gb_j = buchberger(list(component_ideals(ext, ring)[0].generators), ring)
         m = scroll_matrix(ext, 0)
         bound = sum(len(b.run) for b in m.blocks) ** 2
         for trace in _exhaustive_rewrites(ext, ring, 0):
@@ -245,6 +247,7 @@ def test_rewriter_sound_and_complete_on_random_scrolls() -> None:
             assert len(trace.steps) <= bound, f"seed {seed}"
             diff = pair_poly(ring, *trace.start).sub(pair_poly(ring, *trace.final))
             assert normal_form(diff, gb).is_zero(), f"seed {seed}: {trace}"
+            assert normal_form(diff, gb_j).is_zero(), f"seed {seed}: {trace}"
             for step in trace.steps:
                 assert normal_form(step.minor, gb).is_zero(), f"seed {seed}"
 
@@ -407,6 +410,27 @@ def test_plain_reduce_computes_no_gb_of_b_when_the_forms_are_no_sop(monkeypatch)
     assert failure.endswith("; then NotSOP: forms do not generate a zero-dimensional quotient with B")
     b_gens = _b_generators(doc)
     assert bases and all(gens > b_gens for gens in bases)
+
+
+@pytest.mark.parametrize("name", ["cycles_pair", "cycles_full", "greduit1", "strip3"])
+def test_oracle_asks_the_memo_for_no_gb_of_one_facets_minors(monkeypatch, name) -> None:
+    # the rewriter check reads GB(J_l), which the dimension and membership
+    # checks build anyway; greduit is left out, as its one facet's minors
+    # are B itself
+    if name == "strip3":
+        doc = parse_document(strip_document(3))
+    else:
+        doc = parse_input(str(FIXTURES / f"{name}.json"))
+    report, bases = _groebner_keys(monkeypatch, "oracle", doc)
+    assert report["verdict"] is True
+    model = build_model(doc)
+    ext, ring = model.ext, model.ring
+    minors = [
+        frozenset(facet_minors(ext, ring, l))
+        for l in range(len(ext.base.facets))
+        if not ext.is_trivial(l)
+    ]
+    assert minors and not any(gens in bases for gens in minors)
 
 
 @pytest.mark.parametrize(
@@ -919,7 +943,7 @@ def test_certify_is_the_theorem_or_the_fallback_on_random_extensions() -> None:
 
 def test_certify_composes_the_failure(cycles_full, empty_class_document) -> None:
     cert = certify(cycles_full.ext, cycles_full.ring)
-    assert cert.failure == "NoColorationFound: no binomial coloration exists"
+    assert cert.failure == "NoColorationFound: no good binomial coloration exists"
     assert cert.reduction.reduction_number == 2
     model = build_model(parse_document(empty_class_document))
     cert = certify(model.ext, model.ring)
@@ -930,4 +954,4 @@ def test_certify_composes_the_failure(cycles_full, empty_class_document) -> None
     ext = random_small_extension(155)
     cert = certify(ext, ext.ring(PrimeField(32003)))
     assert (cert.coloration, cert.vectors, cert.reduction) == (None, None, None)
-    assert cert.failure == "NoColorationFound: no binomial coloration exists"
+    assert cert.failure == "NoColorationFound: no good binomial coloration exists"
